@@ -4,38 +4,12 @@
 #include <cmath>
 
 #include "arecibo/fft.h"
+#include "arecibo/robust_stats.h"
 #include "par/par.h"
 #include "simd/simd.h"
 #include "util/logging.h"
 
 namespace dflow::arecibo {
-
-namespace {
-
-/// Robust location/scale of a power spectrum via median and interquartile
-/// range (the spectrum is chi-squared distributed and peaky; plain
-/// mean/stddev would be dragged up by the very signals we search for).
-/// Quantiles come from nth_element (exact order statistics — the same
-/// values a full sort would give, at O(n) instead of O(n log n)).
-void RobustStats(const std::vector<double>& power, double* location,
-                 double* scale) {
-  std::vector<double> scratch(power.begin() + 1, power.end());
-  const size_t n = scratch.size();
-  auto quantile = [&scratch](size_t index) {
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<ptrdiff_t>(index),
-                     scratch.end());
-    return scratch[index];
-  };
-  double q1 = quantile(n / 4);
-  *location = quantile(n / 2);
-  double q3 = quantile((3 * n) / 4);
-  // IQR -> sigma for an exponential-ish distribution; 1.349 is the
-  // Gaussian conversion, close enough for thresholding.
-  *scale = std::max((q3 - q1) / 1.349, 1e-12);
-}
-
-}  // namespace
 
 PeriodicitySearch::PeriodicitySearch(SearchConfig config) : config_(config) {
   DFLOW_CHECK(config_.max_harmonics >= 1);
@@ -50,8 +24,10 @@ std::vector<Candidate> PeriodicitySearch::SearchPower(
   const double freq_step =
       1.0 / (static_cast<double>(padded) * series.sample_time_sec);
 
-  double location, scale;
-  RobustStats(power, &location, &scale);
+  // The spectrum is chi-squared distributed and peaky, so the noise level
+  // comes from the median and IQR (DC bin excluded), not mean/stddev.
+  const RobustStats stats =
+      MedianIqr(std::vector<double>(power.begin() + 1, power.end()));
 
   std::vector<double> best_snr(num_bins, 0.0);
   std::vector<int> best_fold(num_bins, 1);
@@ -89,8 +65,9 @@ std::vector<Candidate> PeriodicitySearch::SearchPower(
                 summed.data(), power.data() + chunk_begin * h, h, m);
           }
           previous_fold = fold;
-          const double bias = fold * location;
-          const double denom = scale * std::sqrt(static_cast<double>(fold));
+          const double bias = fold * stats.location;
+          const double denom =
+              stats.scale * std::sqrt(static_cast<double>(fold));
           kernels.snr_best_update(summed.data(), m, bias, denom, fold,
                                   best_snr.data() + chunk_begin,
                                   best_fold.data() + chunk_begin);

@@ -8,14 +8,15 @@
 
 namespace dflow::arecibo {
 
-/// A pulsar candidate produced by the periodicity search.
+/// A pulsar candidate produced by the periodicity search. Fields run
+/// widest first so the struct packs into 56 bytes, not 64.
 struct Candidate {
   double freq_hz = 0.0;
   double period_sec = 0.0;
   double dm = 0.0;
   double snr = 0.0;
-  int harmonics = 1;       // Harmonic fold at which the peak maximized.
   double accel = 0.0;      // Trial acceleration (fractional stretch).
+  int harmonics = 1;       // Harmonic fold at which the peak maximized.
   int beam = -1;
   int pointing = -1;
   bool rfi_flag = false;

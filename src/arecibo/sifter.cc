@@ -1,8 +1,11 @@
 #include "arecibo/sifter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <set>
+#include <cstdint>
+
+#include "util/logging.h"
 
 namespace dflow::arecibo {
 
@@ -53,7 +56,14 @@ std::vector<Candidate> CandidateSifter::Sift(
 
 std::vector<Candidate> MetaAnalysis::Analyze(
     const std::vector<BeamResult>& beams) const {
+  size_t total = 0;
+  for (const BeamResult& beam : beams) {
+    // Beams are tracked as bits of a uint64_t mask below.
+    DFLOW_CHECK(0 <= beam.beam && beam.beam < 64);
+    total += beam.candidates.size();
+  }
   std::vector<Candidate> all;
+  all.reserve(total);
   for (const BeamResult& beam : beams) {
     for (Candidate candidate : beam.candidates) {
       candidate.beam = beam.beam;
@@ -81,13 +91,13 @@ std::vector<Candidate> MetaAnalysis::Analyze(
       }
       return std::fabs(ratio - nearest) <= config_.freq_tolerance * nearest;
     };
-    std::set<int> beams_seen;
+    uint64_t beams_seen = 0;
     for (const Candidate& other : all) {
       if (related(other.freq_hz, candidate.freq_hz)) {
-        beams_seen.insert(other.beam);
+        beams_seen |= uint64_t{1} << other.beam;
       }
     }
-    if (static_cast<int>(beams_seen.size()) >= config_.rfi_beam_threshold) {
+    if (std::popcount(beams_seen) >= config_.rfi_beam_threshold) {
       candidate.rfi_flag = true;
     }
   }
@@ -97,6 +107,9 @@ std::vector<Candidate> MetaAnalysis::Analyze(
 std::vector<Candidate> MetaAnalysis::Survivors(
     const std::vector<Candidate>& analyzed) {
   std::vector<Candidate> out;
+  out.reserve(static_cast<size_t>(
+      std::count_if(analyzed.begin(), analyzed.end(),
+                    [](const Candidate& c) { return !c.rfi_flag; })));
   for (const Candidate& candidate : analyzed) {
     if (!candidate.rfi_flag) {
       out.push_back(candidate);

@@ -49,7 +49,8 @@ struct MetaAnalysisConfig {
   int max_harmonic_ratio = 4;
 };
 
-/// Per-beam candidate lists entering the meta-analysis.
+/// Per-beam candidate lists entering the meta-analysis. Beam ids must lie
+/// in [0, 64); Analyze() checks this.
 struct BeamResult {
   int beam = 0;
   std::vector<Candidate> candidates;

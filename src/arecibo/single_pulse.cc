@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arecibo/robust_stats.h"
 #include "util/logging.h"
 
 namespace dflow::arecibo {
-
-namespace {
-
-/// Robust location/scale of the series itself (median / IQR), so that a
-/// handful of bright pulses cannot inflate the noise estimate.
-void RobustStats(const std::vector<double>& samples, double* location,
-                 double* scale) {
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  size_t n = sorted.size();
-  *location = sorted[n / 2];
-  double q1 = sorted[n / 4];
-  double q3 = sorted[(3 * n) / 4];
-  *scale = std::max((q3 - q1) / 1.349, 1e-12);
-}
-
-}  // namespace
 
 SinglePulseSearch::SinglePulseSearch(SinglePulseConfig config)
     : config_(config) {
@@ -37,8 +21,9 @@ std::vector<TransientEvent> SinglePulseSearch::Search(
   if (n < 4) {
     return events;
   }
-  double location, scale;
-  RobustStats(series.samples, &location, &scale);
+  // Median / IQR of the series itself, so that a handful of bright pulses
+  // cannot inflate the noise estimate.
+  const RobustStats stats = MedianIqr(series.samples);
 
   // Prefix sums for O(1) boxcar sums.
   std::vector<double> prefix(static_cast<size_t>(n) + 1, 0.0);
@@ -49,11 +34,12 @@ std::vector<TransientEvent> SinglePulseSearch::Search(
 
   std::vector<TransientEvent> raw;
   for (int width = 1; width <= config_.max_width; width *= 2) {
-    const double norm = 1.0 / (scale * std::sqrt(static_cast<double>(width)));
+    const double norm =
+        1.0 / (stats.scale * std::sqrt(static_cast<double>(width)));
     for (int64_t start = 0; start + width <= n; ++start) {
       double sum = prefix[static_cast<size_t>(start + width)] -
                    prefix[static_cast<size_t>(start)] -
-                   location * width;
+                   stats.location * width;
       double snr = sum * norm;
       if (snr >= config_.snr_threshold) {
         TransientEvent event;

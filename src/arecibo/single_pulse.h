@@ -34,7 +34,9 @@ struct SinglePulseConfig {
 
 /// Matched-filter single-pulse search: convolves the series with boxcars
 /// of width 1, 2, 4, ... max_width, normalizes each by sqrt(width), and
-/// reports unique local maxima above threshold.
+/// reports unique local maxima above threshold. The noise level is the
+/// series' median and IQR (MedianIqr), found by exact O(n) selection
+/// rather than a sort; the values equal a full sort's.
 class SinglePulseSearch {
  public:
   explicit SinglePulseSearch(SinglePulseConfig config);

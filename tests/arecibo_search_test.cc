@@ -10,6 +10,8 @@
 namespace dflow::arecibo {
 namespace {
 
+static_assert(sizeof(Candidate) <= 56, "Candidate fields must stay packed");
+
 constexpr int kChannels = 64;
 constexpr int64_t kSamples = 1 << 13;
 constexpr double kSampleTime = 1e-3;  // 8.2 s block.
@@ -307,6 +309,46 @@ TEST(MetaAnalysisTest, FlagsLowDmAndMultibeam) {
     }
   }
   EXPECT_EQ(flagged, 8);  // 7 RFI + 1 undispersed.
+}
+
+TEST(MetaAnalysisTest, CountsDistinctBeamsUpToSixtyThree) {
+  MetaAnalysisConfig config;
+  config.rfi_beam_threshold = 4;
+  MetaAnalysis meta(config);
+  auto analyze = [&meta](const std::vector<int>& beam_ids) {
+    std::vector<BeamResult> beams;
+    for (int id : beam_ids) {
+      BeamResult beam;
+      beam.beam = id;
+      Candidate candidate;
+      candidate.freq_hz = 60.0;
+      candidate.dm = 5.0;
+      // Two detections per beam: a beam is counted once however many
+      // related candidates it holds.
+      beam.candidates = {candidate, candidate};
+      beams.push_back(beam);
+    }
+    return meta.Analyze(beams);
+  };
+  for (const Candidate& candidate : analyze({61, 62, 63})) {
+    EXPECT_FALSE(candidate.rfi_flag);
+  }
+  const std::vector<Candidate> flagged = analyze({0, 61, 62, 63});
+  ASSERT_EQ(flagged.size(), 8u);
+  EXPECT_EQ(flagged.capacity(), 8u);
+  for (const Candidate& candidate : flagged) {
+    EXPECT_TRUE(candidate.rfi_flag);
+  }
+  EXPECT_EQ(MetaAnalysis::Survivors(flagged).size(), 0u);
+}
+
+TEST(MetaAnalysisTest, BeamOutsideMaskDies) {
+  MetaAnalysis meta(MetaAnalysisConfig{});
+  std::vector<BeamResult> beams(1);
+  beams[0].beam = 64;
+  // Earlier tests started the shared pool's threads.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(meta.Analyze(beams), "beam < 64");
 }
 
 }  // namespace

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "arecibo/dedisperse.h"
+#include "arecibo/robust_stats.h"
 #include "arecibo/spectrometer.h"
 #include "arecibo/survey.h"
+#include "par/par.h"
+#include "util/md5.h"
+#include "util/rng.h"
 
 namespace dflow::arecibo {
 namespace {
@@ -209,6 +217,297 @@ TEST(SinglePulseTest, TinySeriesHandled) {
   series.samples = {0.0, 0.0};
   SinglePulseSearch search(SinglePulseConfig{});
   EXPECT_TRUE(search.Search(series).empty());
+}
+
+// --- Exact selection against a full sort ---------------------------------
+
+/// The kinds of input the selection must agree with a sort on.
+enum class Shape { kNoise, kTies, kSorted, kReversed, kBursts };
+constexpr Shape kShapes[] = {Shape::kNoise, Shape::kTies, Shape::kSorted,
+                             Shape::kReversed, Shape::kBursts};
+
+std::vector<double> MakeSeries(Shape shape, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(n);
+  for (double& value : values) {
+    value = shape == Shape::kTies ? static_cast<double>(rng.Uniform(-2, 2))
+                                  : rng.Normal();
+  }
+  if (shape == Shape::kSorted || shape == Shape::kReversed) {
+    std::sort(values.begin(), values.end());
+    if (shape == Shape::kReversed) {
+      std::reverse(values.begin(), values.end());
+    }
+  }
+  if (shape == Shape::kBursts) {
+    // One or two boxcar bursts of a few samples, 8-20 sigma.
+    const int64_t bursts = rng.Uniform(1, 2);
+    for (int64_t b = 0; b < bursts; ++b) {
+      const int64_t width = rng.Uniform(1, 6);
+      const int64_t at = rng.Uniform(0, static_cast<int64_t>(n) - 1);
+      const double amplitude = rng.UniformReal(8.0, 20.0);
+      for (int64_t i = at; i < std::min<int64_t>(at + width, n); ++i) {
+        values[static_cast<size_t>(i)] += amplitude;
+      }
+    }
+  }
+  return values;
+}
+
+TEST(RobustStatsTest, SelectQuartilesMatchesFullSort) {
+  for (Shape shape : kShapes) {
+    for (size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 63, 64, 1000, 8192}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        std::vector<double> values = MakeSeries(shape, n, seed * 131 + n);
+        std::vector<double> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<double> scratch = values;
+        const Quartiles q = SelectQuartiles(&scratch);
+        SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)) +
+                     " n " + std::to_string(n) + " seed " +
+                     std::to_string(seed));
+        EXPECT_EQ(q.q1, sorted[n / 4]);
+        EXPECT_EQ(q.median, sorted[n / 2]);
+        EXPECT_EQ(q.q3, sorted[(3 * n) / 4]);
+        // Selection only permutes.
+        std::sort(scratch.begin(), scratch.end());
+        EXPECT_EQ(scratch, sorted);
+
+        const RobustStats stats = MedianIqr(values);
+        EXPECT_EQ(stats.location, sorted[n / 2]);
+        EXPECT_EQ(stats.scale,
+                  std::max((sorted[(3 * n) / 4] - sorted[n / 4]) / 1.349,
+                           1e-12));
+      }
+    }
+  }
+}
+
+/// The single-pulse search with its median / IQR taken from a full sort:
+/// the reference the selection-based search must reproduce exactly.
+std::vector<TransientEvent> SortReferenceSearch(const SinglePulseConfig& config,
+                                                const TimeSeries& series) {
+  std::vector<TransientEvent> events;
+  const int64_t n = static_cast<int64_t>(series.samples.size());
+  if (n < 4) {
+    return events;
+  }
+  std::vector<double> sorted = series.samples;
+  std::sort(sorted.begin(), sorted.end());
+  const double location = sorted[static_cast<size_t>(n) / 2];
+  const double q1 = sorted[static_cast<size_t>(n) / 4];
+  const double q3 = sorted[(3 * static_cast<size_t>(n)) / 4];
+  const double scale = std::max((q3 - q1) / 1.349, 1e-12);
+
+  std::vector<double> prefix(static_cast<size_t>(n) + 1, 0.0);
+  for (int64_t i = 0; i < n; ++i) {
+    prefix[static_cast<size_t>(i + 1)] =
+        prefix[static_cast<size_t>(i)] + series.samples[static_cast<size_t>(i)];
+  }
+  std::vector<TransientEvent> raw;
+  for (int width = 1; width <= config.max_width; width *= 2) {
+    const double norm = 1.0 / (scale * std::sqrt(static_cast<double>(width)));
+    for (int64_t start = 0; start + width <= n; ++start) {
+      double sum = prefix[static_cast<size_t>(start + width)] -
+                   prefix[static_cast<size_t>(start)] - location * width;
+      double snr = sum * norm;
+      if (snr >= config.snr_threshold) {
+        TransientEvent event;
+        event.sample = start + width / 2;
+        event.time_sec =
+            static_cast<double>(event.sample) * series.sample_time_sec;
+        event.width_samples = width;
+        event.snr = snr;
+        event.dm = series.dm;
+        raw.push_back(event);
+      }
+    }
+  }
+  std::sort(raw.begin(), raw.end(),
+            [](const TransientEvent& a, const TransientEvent& b) {
+              return a.snr > b.snr;
+            });
+  for (const TransientEvent& candidate : raw) {
+    bool merged = false;
+    for (const TransientEvent& kept : events) {
+      if (std::llabs(kept.sample - candidate.sample) <=
+          config.merge_distance +
+              (kept.width_samples + candidate.width_samples) / 2) {
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) {
+      events.push_back(candidate);
+      if (events.size() >= static_cast<size_t>(config.max_events)) {
+        break;
+      }
+    }
+  }
+  return events;
+}
+
+void ExpectSameEvents(const std::vector<TransientEvent>& got,
+                      const std::vector<TransientEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(got[i].sample, want[i].sample);
+    EXPECT_EQ(got[i].time_sec, want[i].time_sec);
+    EXPECT_EQ(got[i].width_samples, want[i].width_samples);
+    EXPECT_EQ(got[i].snr, want[i].snr);
+    EXPECT_EQ(got[i].dm, want[i].dm);
+  }
+}
+
+TEST(SinglePulseTest, MatchesSortReferenceOnSeededSeries) {
+  int64_t events_seen = 0;
+  for (double threshold : {2.0, 6.0}) {
+    SinglePulseConfig config;
+    config.snr_threshold = threshold;
+    SinglePulseSearch search(config);
+    for (Shape shape : kShapes) {
+      for (size_t n = 4; n <= 17; ++n) {
+        for (uint64_t seed = 1; seed <= 6; ++seed) {
+          TimeSeries series;
+          series.dm = 12.5 * static_cast<double>(seed);
+          series.sample_time_sec = 6.4e-5;
+          series.samples = MakeSeries(shape, n, seed * 977 + n);
+          SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)) +
+                       " n " + std::to_string(n) + " seed " +
+                       std::to_string(seed));
+          const std::vector<TransientEvent> want =
+              SortReferenceSearch(config, series);
+          events_seen += static_cast<int64_t>(want.size());
+          ExpectSameEvents(search.Search(series), want);
+        }
+      }
+    }
+  }
+  EXPECT_GT(events_seen, 0);
+}
+
+TEST(SinglePulseTest, MatchesSortReferenceOnDedispersedBursts) {
+  SpectrometerModel model(kChannels, kSamples, kSampleTime, 8);
+  TransientParams first;
+  first.time_sec = 1.25;
+  first.dm = 90.0;
+  first.amplitude = 3.0;
+  TransientParams second = first;
+  second.time_sec = 5.5;
+  second.width_sec = 0.012;
+  DynamicSpectrum spec = model.Generate({}, {}, {first, second});
+  Dedisperser dedisperser(MakeDmTrials(300.0, 12));
+  SinglePulseConfig config;
+  config.snr_threshold = 5.0;
+  SinglePulseSearch search(config);
+  int64_t events_seen = 0;
+  for (const TimeSeries& series : dedisperser.DedisperseAll(spec)) {
+    const std::vector<TransientEvent> want =
+        SortReferenceSearch(config, series);
+    events_seen += static_cast<int64_t>(want.size());
+    ExpectSameEvents(search.Search(series), want);
+  }
+  EXPECT_GT(events_seen, 0);
+}
+
+// --- Golden pin of a seeded pointing ----------------------------------------
+
+std::string CandidateDigest(const std::vector<Candidate>& candidates) {
+  Md5 md5;
+  for (const Candidate& c : candidates) {
+    char line[320];
+    std::snprintf(line, sizeof(line),
+                  "%d|%d|%.17g|%.17g|%.17g|%.17g|%.17g|%d|%d\n", c.pointing,
+                  c.beam, c.freq_hz, c.period_sec, c.dm, c.snr, c.accel,
+                  c.harmonics, c.rfi_flag ? 1 : 0);
+    md5.Update(line);
+  }
+  return md5.HexDigest();
+}
+
+std::string TransientDigest(const std::vector<TransientEvent>& events) {
+  Md5 md5;
+  for (const TransientEvent& e : events) {
+    char line[256];
+    std::snprintf(line, sizeof(line), "%lld|%.17g|%d|%.17g|%.17g\n",
+                  static_cast<long long>(e.sample), e.time_sec,
+                  e.width_samples, e.snr, e.dm);
+    md5.Update(line);
+  }
+  return md5.HexDigest();
+}
+
+/// A reduced-scale pointing with two pulsars, mains RFI, two dispersed
+/// bursts and broadband lightning in every beam.
+PointingResult RunGoldenPointing() {
+  SurveyConfig config;
+  config.num_channels = 48;
+  config.num_samples = 1 << 12;
+  config.sample_time_sec = 1e-3;
+  config.num_dm_trials = 12;
+  config.dm_max = 200.0;
+  config.search_transients = true;
+  config.single_pulse.snr_threshold = 6.5;
+  config.seed = 424242;
+  SurveyPipeline pipeline(config);
+
+  std::vector<InjectedPulsar> pulsars(2);
+  pulsars[0].beam = 1;
+  pulsars[0].params.period_sec = 0.0371;
+  pulsars[0].params.dm = 80.0;
+  pulsars[0].params.pulse_amplitude = 0.5;
+  pulsars[1].beam = 5;
+  pulsars[1].params.period_sec = 0.0113;
+  pulsars[1].params.dm = 150.0;
+  pulsars[1].params.pulse_amplitude = 0.6;
+  InjectedTransient burst;
+  burst.beam = 3;
+  burst.params.time_sec = 1.7;
+  burst.params.dm = 120.0;
+  burst.params.amplitude = 2.5;
+  burst.params.width_sec = 0.006;
+  InjectedTransient wide = burst;
+  wide.beam = 6;
+  wide.params.time_sec = 0.6;
+  wide.params.dm = 60.0;
+  wide.params.amplitude = 2.0;
+  wide.params.width_sec = 0.012;
+  std::vector<InjectedTransient> transients = {burst, wide};
+  for (int beam = 0; beam < config.num_beams; ++beam) {
+    InjectedTransient lightning;
+    lightning.beam = beam;
+    lightning.params.time_sec = 3.1;
+    lightning.params.dm = 0.0;
+    lightning.params.amplitude = 3.0;
+    lightning.params.width_sec = 0.004;
+    transients.push_back(lightning);
+  }
+  return pipeline.ProcessPointing(11, pulsars, {RfiParams{}}, {}, transients);
+}
+
+// Digests of RunGoldenPointing() as computed by the sort-based single-pulse
+// search. The pointing must reproduce them serially and on the shared
+// pool, at every SIMD tier.
+constexpr char kGoldenCandidates[] = "b885bd2c46b18320c6e52aeaa5c81c20";
+constexpr char kGoldenDetections[] = "13c508a8c29ab6fad5a2b74605dbac01";
+constexpr char kGoldenTransients[] = "8640d1334121babbb26ac33c14fa1022";
+
+void ExpectGolden(const PointingResult& result) {
+  EXPECT_FALSE(result.detections.empty());
+  EXPECT_FALSE(result.transients.empty());
+  EXPECT_EQ(CandidateDigest(result.candidates), kGoldenCandidates);
+  EXPECT_EQ(CandidateDigest(result.detections), kGoldenDetections);
+  EXPECT_EQ(TransientDigest(result.transients), kGoldenTransients);
+}
+
+TEST(SurveyTransientTest, SeededPointingMatchesGoldenSerial) {
+  par::SerialOverride serial;
+  ExpectGolden(RunGoldenPointing());
+}
+
+TEST(SurveyTransientTest, SeededPointingMatchesGoldenOnSharedPool) {
+  ExpectGolden(RunGoldenPointing());
 }
 
 }  // namespace
