@@ -86,9 +86,10 @@ struct ClusterConfig {
   /// quorum safety over.
   HistoryRecorder* history = nullptr;
 
-  /// Optional observability (borrowed; must outlive the cluster). Counters
-  /// land under "cluster.*"; spans/instants are recorded on one trace
-  /// track per node (named "cluster/<node>").
+  /// Optional observability (borrowed; must outlive the cluster). The
+  /// ClusterStats counts live under "cluster.*" in `metrics` (in a private
+  /// registry when null); spans/instants are recorded on one trace track
+  /// per node (named "cluster/<node>").
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
@@ -280,8 +281,8 @@ class Cluster {
   }
   ClusterStats Stats() const;
 
-  /// Requests dispatched into each node's serve loop (by node name) —
-  /// the load-balance view the benches print.
+  /// Requests dispatched into each node's serve loop (by node name): each
+  /// loop's "serve.offered" count, the load-balance view the benches print.
   std::map<std::string, int64_t> ServedByNode() const;
 
   /// One node's ServeLoop stats (admission, cache, breaker bookkeeping).
@@ -336,7 +337,6 @@ class Cluster {
     core::ServiceRegistry registry;
     std::unique_ptr<serve::ShardedResponseCache> cache;
     std::atomic<bool> alive{true};
-    std::atomic<int64_t> served{0};
     std::map<int, ShardData> shards;  // Guarded by Cluster::mu_.
     /// Hints this node banks for currently-unreachable peers, in arrival
     /// order. Volatile like shard state: a kill drops them. Guarded by
@@ -379,7 +379,6 @@ class Cluster {
   /// True when the deterministic per-(key, hop, attempt) loss draw fires.
   bool ForwardDropped(const std::string& key, const std::string& from,
                       const std::string& to, int attempt) const;
-  void Count(obs::Counter* counter, int64_t delta = 1) const;
 
   ClusterConfig config_;
   ShardMap map_;
@@ -405,27 +404,6 @@ class Cluster {
 
   mutable std::mutex mu_;  // Guards map_, moving_, and all shard state.
 
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> local_{0};
-  std::atomic<int64_t> forwarded_{0};
-  std::atomic<int64_t> reroutes_{0};
-  std::atomic<int64_t> forward_drops_{0};
-  std::atomic<int64_t> failed_{0};
-  std::atomic<int64_t> writes_{0};
-  std::atomic<int64_t> put_failures_{0};
-  std::atomic<int64_t> get_failures_{0};
-  std::atomic<int64_t> replica_writes_{0};
-  std::atomic<int64_t> read_repairs_{0};
-  std::atomic<int64_t> hints_stored_{0};
-  std::atomic<int64_t> hints_drained_{0};
-  std::atomic<int64_t> partition_transitions_{0};
-  std::atomic<int64_t> dual_writes_{0};
-  std::atomic<int64_t> rebalance_moves_{0};
-  std::atomic<int64_t> kills_{0};
-  std::atomic<int64_t> rejoins_{0};
-  std::atomic<int64_t> journal_replayed_{0};
-  std::atomic<int64_t> catchup_shards_{0};
-
   struct Counters {
     obs::Counter* requests = nullptr;
     obs::Counter* local = nullptr;
@@ -448,7 +426,10 @@ class Cluster {
     obs::Counter* journal_replayed = nullptr;
     obs::Counter* catchup_shards = nullptr;
   };
-  Counters reg_;
+  /// The one store of every ClusterStats count, under "cluster.<field>":
+  /// config_.metrics when given, else owned_metrics_. Stats() reads it.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  Counters counters_;
 };
 
 }  // namespace dflow::cluster

@@ -6,18 +6,13 @@
 
 namespace dflow::db {
 
-namespace {
-void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Increment();
-  }
-}
-}  // namespace
-
 BufferPool::BufferPool(BufferPoolOptions options,
                        std::unique_ptr<PageStore> store)
-    : options_(options), store_(std::move(store)) {
+    : options_(options),
+      store_(std::move(store)),
+      owned_metrics_(std::make_unique<obs::MetricsRegistry>()) {
   DFLOW_CHECK(store_ != nullptr);
+  ResolveCounters(owned_metrics_.get());
 }
 
 void BufferPool::SetWal(std::function<uint64_t()> current_lsn,
@@ -29,16 +24,31 @@ void BufferPool::SetWal(std::function<uint64_t()> current_lsn,
 }
 
 void BufferPool::SetMetricsRegistry(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    obs_ = ObsCounters{};
-    return;
-  }
-  obs_.hits = metrics->GetCounter("db.pool.hits");
-  obs_.misses = metrics->GetCounter("db.pool.misses");
-  obs_.evictions = metrics->GetCounter("db.pool.evictions");
-  obs_.writebacks = metrics->GetCounter("db.pool.writebacks");
-  obs_.allocations = metrics->GetCounter("db.pool.allocations");
-  obs_.frees = metrics->GetCounter("db.pool.frees");
+  DFLOW_CHECK(metrics != nullptr);
+  DFLOW_CHECK(owned_metrics_ != nullptr && owned_metrics_->AllCountersZero())
+      << "BufferPool::SetMetricsRegistry must precede the first counted event";
+  owned_metrics_.reset();
+  ResolveCounters(metrics);
+}
+
+void BufferPool::ResolveCounters(obs::MetricsRegistry* metrics) {
+  counters_.hits = metrics->GetCounter("db.pool.hits");
+  counters_.misses = metrics->GetCounter("db.pool.misses");
+  counters_.evictions = metrics->GetCounter("db.pool.evictions");
+  counters_.writebacks = metrics->GetCounter("db.pool.writebacks");
+  counters_.allocations = metrics->GetCounter("db.pool.allocations");
+  counters_.frees = metrics->GetCounter("db.pool.frees");
+}
+
+BufferPool::Stats BufferPool::stats() const {
+  Stats stats;
+  stats.hits = counters_.hits->Value();
+  stats.misses = counters_.misses->Value();
+  stats.evictions = counters_.evictions->Value();
+  stats.writebacks = counters_.writebacks->Value();
+  stats.allocations = counters_.allocations->Value();
+  stats.frees = counters_.frees->Value();
+  return stats;
 }
 
 BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& other) noexcept {
@@ -131,8 +141,7 @@ Result<bool> BufferPool::EvictOne() {
   size_t idx = page_table_.at(victim->pid);
   page_table_.erase(victim->pid);
   eviction_log_.push_back(victim->pid);
-  ++stats_.evictions;
-  Bump(obs_.evictions);
+  counters_.evictions->Increment();
   victim->in_use = false;
   victim->page = Page();
   free_frames_.push_back(idx);
@@ -164,8 +173,7 @@ Status BufferPool::WriteBack(Frame& frame) {
                            {{"pid", std::to_string(frame.pid)}});
   }
   frame.dirty = false;
-  ++stats_.writebacks;
-  Bump(obs_.writebacks);
+  counters_.writebacks->Increment();
   return Status::OK();
 }
 
@@ -222,8 +230,7 @@ Result<uint32_t> BufferPool::Allocate() {
   }
   Touch(frame);
   page_table_[pid] = idx;
-  ++stats_.allocations;
-  Bump(obs_.allocations);
+  counters_.allocations->Increment();
   return pid;
 }
 
@@ -243,8 +250,7 @@ Status BufferPool::Free(uint32_t pid) {
     page_table_.erase(it);
   }
   free_pids_.insert(pid);
-  ++stats_.frees;
-  Bump(obs_.frees);
+  counters_.frees->Increment();
   return Status::OK();
 }
 
@@ -254,13 +260,11 @@ Result<BufferPool::PageRef> BufferPool::Pin(uint32_t pid) {
     Frame& frame = *frames_[it->second];
     Touch(frame);
     ++frame.pin_count;
-    ++stats_.hits;
-    Bump(obs_.hits);
+    counters_.hits->Increment();
     return PageRef(this, it->second);
   }
   // Miss: fetch from the store into a frame.
-  ++stats_.misses;
-  Bump(obs_.misses);
+  counters_.misses->Increment();
   if (options_.max_frames != 0 &&
       page_table_.size() >= options_.max_frames) {
     DFLOW_RETURN_IF_ERROR(EvictOne().status());

@@ -101,7 +101,10 @@ class BufferPool {
               std::function<uint64_t()> durable_lsn,
               std::function<Status(uint64_t)> ensure_durable);
 
-  /// Observability: db.pool.* counters and fetch/writeback spans.
+  /// Moves the db.pool.* counters into `metrics` (borrowed; must outlive
+  /// the pool) from the private registry they start in. Must precede the
+  /// first counted event: attaching later is a DFLOW_CHECK failure, because
+  /// the counts made so far would stay behind.
   void SetMetricsRegistry(obs::MetricsRegistry* metrics);
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
@@ -122,7 +125,8 @@ class BufferPool {
     int64_t allocations = 0;
     int64_t frees = 0;
   };
-  const Stats& stats() const { return stats_; }
+  /// A view over the db.pool.* counters.
+  Stats stats() const;
 
   size_t resident_pages() const { return page_table_.size(); }
   size_t max_frames() const { return options_.max_frames; }
@@ -150,6 +154,7 @@ class BufferPool {
   Status WriteBack(Frame& frame);
   void Touch(Frame& frame);
   void TrimToBound();
+  void ResolveCounters(obs::MetricsRegistry* metrics);
 
   BufferPoolOptions options_;
   std::unique_ptr<PageStore> store_;
@@ -165,10 +170,12 @@ class BufferPool {
   std::function<Status(uint64_t)> ensure_durable_;
   WritebackProbe writeback_probe_;
 
-  Stats stats_;
   std::vector<uint32_t> eviction_log_;
 
-  struct ObsCounters {
+  /// The one store of the Stats counts: a private registry until
+  /// SetMetricsRegistry() swaps in a shared one.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  struct Counters {
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* evictions = nullptr;
@@ -176,7 +183,7 @@ class BufferPool {
     obs::Counter* allocations = nullptr;
     obs::Counter* frees = nullptr;
   };
-  ObsCounters obs_;
+  Counters counters_;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -88,7 +88,8 @@ class Database {
   /// eviction log, writeback probe).
   BufferPool* pool() const { return pool_.get(); }
 
-  /// Observability: db.pool.* counters and fetch/writeback spans.
+  /// Moves the pool's db.pool.* counters into `metrics`; must precede the
+  /// first pool event (see BufferPool::SetMetricsRegistry).
   void SetMetricsRegistry(obs::MetricsRegistry* metrics) {
     pool_->SetMetricsRegistry(metrics);
   }

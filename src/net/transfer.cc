@@ -15,13 +15,6 @@ int64_t UsOf(double seconds) {
   return static_cast<int64_t>(std::llround(seconds * 1e6));
 }
 
-/// Registry-mirror bump: a no-op branch unless a registry was attached.
-inline void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Add(1);
-  }
-}
-
 const char* OutcomeLabel(DeliveryOutcome outcome, bool verified) {
   switch (outcome) {
     case DeliveryOutcome::kDelivered:
@@ -73,22 +66,31 @@ int64_t TransferManifest::TotalBytes() const {
 
 TransferScheduler::TransferScheduler(sim::Simulation* simulation,
                                      Channel* channel, int max_retries)
-    : simulation_(simulation), channel_(channel), max_retries_(max_retries) {
+    : simulation_(simulation),
+      channel_(channel),
+      max_retries_(max_retries),
+      owned_metrics_(std::make_unique<obs::MetricsRegistry>()) {
   DFLOW_CHECK(simulation_ != nullptr);
   DFLOW_CHECK(channel_ != nullptr);
+  ResolveCounters(owned_metrics_.get());
 }
 
 void TransferScheduler::SetObserver(obs::Tracer* tracer,
                                     obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.delivered = metrics_->GetCounter("net.transfer.delivered");
-    obs_.retries = metrics_->GetCounter("net.transfer.retries");
-    obs_.failures = metrics_->GetCounter("net.transfer.failures");
-  } else {
-    obs_ = ObsCounters{};
+  if (metrics != nullptr) {
+    DFLOW_CHECK(owned_metrics_ != nullptr && owned_metrics_->AllCountersZero())
+        << "TransferScheduler: attach the registry once, before the first "
+           "count";
+    owned_metrics_.reset();
+    ResolveCounters(metrics);
   }
+}
+
+void TransferScheduler::ResolveCounters(obs::MetricsRegistry* metrics) {
+  counters_.delivered = metrics->GetCounter("net.transfer.delivered");
+  counters_.retries = metrics->GetCounter("net.transfer.retries");
+  counters_.failures = metrics->GetCounter("net.transfer.failures");
 }
 
 Status TransferScheduler::SendAll(std::vector<TransferItem> items,
@@ -165,18 +167,16 @@ void TransferScheduler::SendOne(TransferItem item, int attempt) {
         }
         if (!ok) {
           if (attempt + 1 > max_retries_) {
-            ++failures_;
-            Bump(obs_.failures);
+            counters_.failures->Add();
             DFLOW_LOG(Error) << "transfer of '" << delivered.name
                              << "' failed permanently";
           } else {
-            ++retries_;
-            Bump(obs_.retries);
+            counters_.retries->Add();
             Resend(delivered.name, attempt + 1);
             return;
           }
         } else {
-          Bump(obs_.delivered);
+          counters_.delivered->Add();
         }
         if (--outstanding_ == 0 && on_all_delivered_) {
           on_all_delivered_();
@@ -184,8 +184,7 @@ void TransferScheduler::SendOne(TransferItem item, int attempt) {
       });
   if (!s.ok()) {
     DFLOW_LOG(Error) << "send failed: " << s.ToString();
-    ++failures_;
-    Bump(obs_.failures);
+    counters_.failures->Add();
     if (--outstanding_ == 0 && on_all_delivered_) {
       on_all_delivered_();
     }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,19 +60,22 @@ class TransferScheduler {
   /// Attaches observability hooks (borrowed; either may be null). With a
   /// tracer, every send attempt emits one virtual-time "net.transfer" span
   /// (channel latency, with name/attempt/outcome args) and every
-  /// retransmit an instant event. With a registry, counters are mirrored
-  /// under "net.transfer.delivered", ".retries", ".failures". Attach
-  /// before SendAll().
+  /// retransmit an instant event. The counts live under
+  /// "net.transfer.delivered", ".retries" and ".failures": in a private
+  /// registry until `metrics` is given, then in `metrics`. A registry must
+  /// be given before the first counted event (DFLOW_CHECK), and at most
+  /// once.
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  int64_t retries() const { return retries_; }
-  int64_t failures() const { return failures_; }
+  int64_t retries() const { return counters_.retries->Value(); }
+  int64_t failures() const { return counters_.failures->Value(); }
   const TransferManifest& manifest() const { return manifest_; }
   bool AllDelivered() const { return outstanding_ == 0 && started_; }
 
  private:
   void SendOne(TransferItem item, int attempt);
   void Resend(const std::string& name, int attempt);
+  void ResolveCounters(obs::MetricsRegistry* metrics);
   /// The configured tracer if currently enabled, else null.
   obs::Tracer* ActiveTracer() const {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
@@ -84,20 +88,19 @@ class TransferScheduler {
   double backoff_multiplier_ = 2.0;
   TransferManifest manifest_;
   int64_t outstanding_ = 0;
-  int64_t retries_ = 0;
-  int64_t failures_ = 0;
   bool started_ = false;
   std::function<void()> on_all_delivered_;
 
-  // Observability (both null until SetObserver).
+  // Observability. The counter handles point into owned_metrics_ until
+  // SetObserver() is given a registry.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  struct Counters {
     obs::Counter* delivered = nullptr;
     obs::Counter* retries = nullptr;
     obs::Counter* failures = nullptr;
   };
-  ObsCounters obs_;
+  Counters counters_;
 };
 
 }  // namespace dflow::net

@@ -151,6 +151,16 @@ std::vector<std::string> MetricsRegistry::GaugeNames() const {
   return names;
 }
 
+bool MetricsRegistry::AllCountersZero() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, counter] : counters_) {
+    if (counter->Value() != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<std::string> MetricsRegistry::HistogramNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;

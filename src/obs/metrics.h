@@ -48,10 +48,9 @@ class Gauge {
 };
 
 /// Thread-safe log-bucketed histogram: N independently locked
-/// LatencyHistogram stripes selected by thread-id hash — the same striping
-/// ServeLoop uses for its tail-latency measurement, packaged so any named
-/// duration in the registry gets it for free. Snapshot() merges at read
-/// time.
+/// LatencyHistogram stripes selected by thread-id hash, so concurrent
+/// recorders rarely share a lock. ServeLoop's tail-latency measurement is
+/// one of these. Snapshot() merges at read time.
 class StripedHistogram {
  public:
   explicit StripedHistogram(int num_stripes = 8);
@@ -72,10 +71,11 @@ class StripedHistogram {
   std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 
-/// Process-wide (or per-harness) named-metric registry: the one shared
-/// substrate every tier publishes into, replacing per-subsystem ad-hoc
-/// counter fields. Get*() registers on first use and returns a stable
-/// pointer — callers resolve once and then increment lock-free.
+/// Process-wide (or per-harness) named-metric registry: the one store of
+/// every tier's event counts. A component counts into the registry it was
+/// given, or into a private one when it was given none, and its Stats()
+/// view reads the counters back. Get*() registers on first use and returns
+/// a stable pointer — callers resolve once and then increment lock-free.
 ///
 /// Thread-safe. Names are free-form dotted paths by convention
 /// ("flow.<stage>.errors", "serve.cache_hits", "hsm.operator_repairs").
@@ -104,6 +104,9 @@ class MetricsRegistry {
   /// convention).
   int64_t CounterValue(const std::string& name) const;
   Result<int64_t> CheckedCounterValue(const std::string& name) const;
+  /// True while no counter holds a non-zero value: the test a component
+  /// makes before it swaps its private registry for an injected one.
+  bool AllCountersZero() const;
 
   std::vector<std::string> CounterNames() const;
   std::vector<std::string> GaugeNames() const;

@@ -20,33 +20,39 @@ int64_t UsOf(double seconds) {
 Scrubber::Scrubber(sim::Simulation* simulation, storage::TapeLibrary* primary,
                    storage::TapeLibrary* replica, ScrubberConfig config)
     : simulation_(simulation), primary_(primary), replica_(replica),
-      config_(config) {
+      config_(config),
+      owned_metrics_(std::make_unique<obs::MetricsRegistry>()) {
   DFLOW_CHECK(simulation_ != nullptr);
   DFLOW_CHECK(primary_ != nullptr);
   DFLOW_CHECK(config_.files_per_cycle > 0);
   DFLOW_CHECK(config_.cycle_interval_sec >= 0.0);
   DFLOW_CHECK(config_.passes >= 1);
+  ResolveCounters(owned_metrics_.get());
 }
 
 void Scrubber::SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.files_scanned = metrics_->GetCounter("scrub.files_scanned");
-    obs_.bad_blocks_found = metrics_->GetCounter("scrub.bad_blocks_found");
-    obs_.silent_corruption_found =
-        metrics_->GetCounter("scrub.silent_corruption_found");
-    obs_.tickets_filed = metrics_->GetCounter("scrub.tickets_filed");
-    obs_.tickets_deduped = metrics_->GetCounter("scrub.tickets_deduped");
-    obs_.repairs_local = metrics_->GetCounter("scrub.repairs_local");
-    obs_.restored_from_replica =
-        metrics_->GetCounter("scrub.restored_from_replica");
-    obs_.already_repaired = metrics_->GetCounter("scrub.already_repaired");
-    obs_.unrecoverable = metrics_->GetCounter("scrub.unrecoverable");
-    obs_.passes = metrics_->GetCounter("scrub.passes");
-  } else {
-    obs_ = ObsCounters{};
+  if (metrics != nullptr) {
+    DFLOW_CHECK(owned_metrics_ != nullptr && owned_metrics_->AllCountersZero())
+        << "Scrubber: attach the registry once, before the first count";
+    owned_metrics_.reset();
+    ResolveCounters(metrics);
   }
+}
+
+void Scrubber::ResolveCounters(obs::MetricsRegistry* metrics) {
+  counters_.files_scanned = metrics->GetCounter("scrub.files_scanned");
+  counters_.bad_blocks_found = metrics->GetCounter("scrub.bad_blocks_found");
+  counters_.silent_corruption_found =
+      metrics->GetCounter("scrub.silent_corruption_found");
+  counters_.tickets_filed = metrics->GetCounter("scrub.tickets_filed");
+  counters_.tickets_deduped = metrics->GetCounter("scrub.tickets_deduped");
+  counters_.repairs_local = metrics->GetCounter("scrub.repairs_local");
+  counters_.restored_from_replica =
+      metrics->GetCounter("scrub.restored_from_replica");
+  counters_.already_repaired = metrics->GetCounter("scrub.already_repaired");
+  counters_.unrecoverable = metrics->GetCounter("scrub.unrecoverable");
+  counters_.passes = metrics->GetCounter("scrub.passes");
 }
 
 Status Scrubber::Start() {
@@ -67,7 +73,7 @@ void Scrubber::RunCycle() {
     if (worklist_.empty()) {
       // Nothing archived yet; try again next cycle unless out of passes.
       ++passes_completed_;
-      Bump(obs_.passes);
+      counters_.passes->Add();
       if (passes_completed_ < config_.passes) {
         simulation_->Schedule(config_.cycle_interval_sec,
                               [this] { RunCycle(); });
@@ -91,7 +97,7 @@ void Scrubber::RunCycle() {
   bool pass_done = cursor_ >= worklist_.size();
   if (pass_done) {
     ++passes_completed_;
-    Bump(obs_.passes);
+    counters_.passes->Add();
   }
   if (!pass_done || passes_completed_ < config_.passes) {
     simulation_->Schedule(config_.cycle_interval_sec, [this] { RunCycle(); });
@@ -104,11 +110,9 @@ void Scrubber::ScrubFile(const std::string& file) {
   // checksum comparison afterwards catches silent bit rot the read does
   // not report.
   Status s = primary_->ReadChecked(file, [this, file](Result<int64_t> bytes) {
-    ++files_scanned_;
-    Bump(obs_.files_scanned);
+    counters_.files_scanned->Add();
     if (!bytes.ok()) {
-      ++bad_blocks_found_;
-      Bump(obs_.bad_blocks_found);
+      counters_.bad_blocks_found->Add();
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("scrub.bad_block", "recover", {{"file", file}});
       }
@@ -116,8 +120,7 @@ void Scrubber::ScrubFile(const std::string& file) {
       return;
     }
     if (primary_->IsSilentlyCorrupt(file)) {
-      ++silent_corruption_found_;
-      Bump(obs_.silent_corruption_found);
+      counters_.silent_corruption_found->Add();
       if (obs::Tracer* tracer = ActiveTracer()) {
         tracer->InstantEvent("scrub.silent_corruption", "recover",
                              {{"file", file}});
@@ -137,13 +140,11 @@ void Scrubber::FileTicket(const std::string& file, const std::string& reason) {
   if (pending_tickets_.count(file) > 0) {
     // A ticket is already on its way for this file (e.g. the loud bad
     // block was also seen by an HSM recall this pass): never double-file.
-    ++tickets_deduped_;
-    Bump(obs_.tickets_deduped);
+    counters_.tickets_deduped->Add();
     return;
   }
   pending_tickets_.insert(file);
-  ++tickets_filed_;
-  Bump(obs_.tickets_filed);
+  counters_.tickets_filed->Add();
   if (obs::Tracer* tracer = ActiveTracer()) {
     tracer->InstantEvent("scrub.ticket_filed", "recover",
                          {{"file", file}, {"reason", reason}});
@@ -162,8 +163,7 @@ void Scrubber::ExecuteTicket(const std::string& file) {
     // Someone else fixed it first (an HSM recall's operator repair, or a
     // concurrent migration re-write). Counting — not re-repairing — is
     // the no-double-repair contract.
-    ++already_repaired_;
-    Bump(obs_.already_repaired);
+    counters_.already_repaired->Add();
     if (obs::Tracer* tracer = ActiveTracer()) {
       tracer->InstantEvent("scrub.already_repaired", "recover",
                            {{"file", file}});
@@ -175,8 +175,7 @@ void Scrubber::ExecuteTicket(const std::string& file) {
                        !replica_->IsSilentlyCorrupt(file);
   if (silent && !replica_clean) {
     // Bit rot with no clean copy anywhere: nothing to restore from.
-    ++unrecoverable_;
-    Bump(obs_.unrecoverable);
+    counters_.unrecoverable->Add();
     if (obs::Tracer* tracer = ActiveTracer()) {
       tracer->InstantEvent("scrub.unrecoverable", "recover",
                            {{"file", file}});
@@ -189,11 +188,9 @@ void Scrubber::ExecuteTicket(const std::string& file) {
     primary_->RepairBadBlock(file);
     primary_->ClearSilentCorruption(file);
     if (from_replica) {
-      ++restored_from_replica_;
-      Bump(obs_.restored_from_replica);
+      counters_.restored_from_replica->Add();
     } else {
-      ++repairs_local_;
-      Bump(obs_.repairs_local);
+      counters_.repairs_local->Add();
     }
     if (obs::Tracer* tracer = ActiveTracer()) {
       tracer->InstantEvent("scrub.repaired", "recover",
@@ -213,8 +210,7 @@ void Scrubber::ExecuteTicket(const std::string& file) {
             if (primary_->HasBadBlock(file)) {
               finish_repair(/*from_replica=*/false);
             } else {
-              ++unrecoverable_;
-              Bump(obs_.unrecoverable);
+              counters_.unrecoverable->Add();
             }
             return;
           }

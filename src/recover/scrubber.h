@@ -2,6 +2,7 @@
 #define DFLOW_RECOVER_SCRUBBER_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,8 +56,9 @@ struct ScrubberConfig {
 ///     suppressed duplicates) — never a lost ticket: every detection
 ///     either joins an existing ticket or files a new one.
 ///
-/// Observability: with SetObserver, counters land under "scrub.*" and each
-/// cycle emits a virtual-time span plus instants for detections/repairs.
+/// Observability: the counts live under "scrub.*" (in a private registry
+/// until SetObserver() is given one), and each cycle emits a virtual-time
+/// span plus instants for detections/repairs.
 class Scrubber {
  public:
   /// `replica` may be null (no surviving copy to restore from). Borrowed
@@ -67,22 +69,37 @@ class Scrubber {
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  /// Attaches observability hooks (borrowed; either may be null).
+  /// Attaches observability hooks (borrowed; either may be null). A
+  /// non-null `metrics` becomes the store of the scrub.* counts that the
+  /// accessors below read; it must be given before the first counted event
+  /// (DFLOW_CHECK), and at most once. Scrubbers given the same registry
+  /// share those counts.
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   /// Schedules the first cycle `cycle_interval_sec` from now.
   /// FailedPrecondition if already started.
   Status Start();
 
-  int64_t files_scanned() const { return files_scanned_; }
-  int64_t bad_blocks_found() const { return bad_blocks_found_; }
-  int64_t silent_corruption_found() const { return silent_corruption_found_; }
-  int64_t tickets_filed() const { return tickets_filed_; }
-  int64_t tickets_deduped() const { return tickets_deduped_; }
-  int64_t repairs_local() const { return repairs_local_; }
-  int64_t restored_from_replica() const { return restored_from_replica_; }
-  int64_t already_repaired() const { return already_repaired_; }
-  int64_t unrecoverable() const { return unrecoverable_; }
+  int64_t files_scanned() const { return counters_.files_scanned->Value(); }
+  int64_t bad_blocks_found() const {
+    return counters_.bad_blocks_found->Value();
+  }
+  int64_t silent_corruption_found() const {
+    return counters_.silent_corruption_found->Value();
+  }
+  int64_t tickets_filed() const { return counters_.tickets_filed->Value(); }
+  int64_t tickets_deduped() const {
+    return counters_.tickets_deduped->Value();
+  }
+  int64_t repairs_local() const { return counters_.repairs_local->Value(); }
+  int64_t restored_from_replica() const {
+    return counters_.restored_from_replica->Value();
+  }
+  int64_t already_repaired() const {
+    return counters_.already_repaired->Value();
+  }
+  int64_t unrecoverable() const { return counters_.unrecoverable->Value(); }
+  /// This scrubber's own passes (schedule state, never shared).
   int passes_completed() const { return passes_completed_; }
   /// Tickets filed but not yet executed.
   int64_t tickets_pending() const {
@@ -94,13 +111,9 @@ class Scrubber {
   void ScrubFile(const std::string& file);
   void FileTicket(const std::string& file, const std::string& reason);
   void ExecuteTicket(const std::string& file);
+  void ResolveCounters(obs::MetricsRegistry* metrics);
   obs::Tracer* ActiveTracer() const {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
-  }
-  void Bump(obs::Counter* counter) {
-    if (counter != nullptr) {
-      counter->Add(1);
-    }
   }
 
   sim::Simulation* simulation_;
@@ -111,22 +124,16 @@ class Scrubber {
   bool started_ = false;
   std::vector<std::string> worklist_;  // Snapshot of one pass, sorted.
   size_t cursor_ = 0;
+  /// Decides when the scrubber stops, so it is kept here rather than read
+  /// back from "scrub.passes": a shared registry sums every scrubber's
+  /// passes.
   int passes_completed_ = 0;
   std::set<std::string> pending_tickets_;
 
-  int64_t files_scanned_ = 0;
-  int64_t bad_blocks_found_ = 0;
-  int64_t silent_corruption_found_ = 0;
-  int64_t tickets_filed_ = 0;
-  int64_t tickets_deduped_ = 0;
-  int64_t repairs_local_ = 0;
-  int64_t restored_from_replica_ = 0;
-  int64_t already_repaired_ = 0;
-  int64_t unrecoverable_ = 0;
-
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
+  /// The store of the scrub.* counts until SetObserver() is given one.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  struct Counters {
     obs::Counter* files_scanned = nullptr;
     obs::Counter* bad_blocks_found = nullptr;
     obs::Counter* silent_corruption_found = nullptr;
@@ -138,7 +145,7 @@ class Scrubber {
     obs::Counter* unrecoverable = nullptr;
     obs::Counter* passes = nullptr;
   };
-  ObsCounters obs_;
+  Counters counters_;
 };
 
 }  // namespace dflow::recover

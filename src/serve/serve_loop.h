@@ -13,9 +13,9 @@
 
 #include "core/flow_runner.h"  // core::RetryPolicy — retry-after hint shape.
 #include "core/web_service.h"
+#include "obs/latency_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/latency_histogram.h"
 #include "serve/response_cache.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -52,10 +52,9 @@ struct ServeConfig {
   /// (db::Database and friends) are single-threaded by design — the paper's
   /// services ran one synchronous web server each — so the default takes
   /// one lock per top-level mount prefix: requests to DIFFERENT services
-  /// run concurrently, requests to the same service serialize. kGlobal
-  /// serializes everything; kNone is for backends that are themselves
-  /// thread-safe.
-  enum class BackendLocking { kPerMount, kGlobal, kNone };
+  /// run concurrently, requests to the same service serialize. kNone is for
+  /// backends that are themselves thread-safe.
+  enum class BackendLocking { kPerMount, kNone };
   BackendLocking locking = BackendLocking::kPerMount;
 
   /// Health-gated failover (the recovery PR). Disabled by default — with
@@ -100,12 +99,14 @@ struct ServeConfig {
   /// golden traces of serialized runs. A null or disabled tracer costs one
   /// branch per request.
   obs::Tracer* tracer = nullptr;
-  /// With a registry attached, the loop mirrors its counters under
-  /// "serve.offered", ".admitted", ".shed", ".completed", ".errors",
-  /// ".deadline_expired", ".cache_hits", ".cache_misses" and records every
-  /// admitted-request latency into the "serve.latency_sec" histogram —
-  /// the same numbers as Stats()/Latencies(), published into the shared
-  /// substrate the other tiers report into.
+  /// The loop counts into this registry, under "serve.offered",
+  /// ".admitted", ".shed", ".completed", ".errors", ".deadline_expired",
+  /// ".cache_hits", ".cache_misses" (plus "serve.breaker_opened",
+  /// ".breaker_closed", ".breaker_probes", ".failover" and
+  /// ".breaker_rejected" when the breaker is enabled), and records every
+  /// admitted-request latency into the "serve.latency_sec" histogram. When
+  /// null it uses a private registry instead. Either way the registry is
+  /// the only store: Stats() and Latencies() read it back.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -145,7 +146,7 @@ struct ServeStats {
 /// executor over a core::ServiceRegistry with a bounded admission queue
 /// (load shedding, not unbounded buffering), per-request deadlines, an
 /// optional ShardedResponseCache consulted at admission time (hits bypass
-/// the queue entirely), and per-worker-stripe latency histograms merged on
+/// the queue entirely), and a thread-striped latency histogram merged on
 /// read.
 ///
 /// Results are delivered through a completion callback (`DoneFn`), which
@@ -232,10 +233,10 @@ class ServeLoop {
 
   ServeStats Stats() const;
 
-  /// Merged snapshot of per-stripe histograms: latency from admission to
-  /// completion of every ADMITTED request that produced a response (cache
-  /// hits included; shed and deadline-expired requests excluded).
-  LatencyHistogram Latencies() const;
+  /// Snapshot of the "serve.latency_sec" histogram: latency from admission
+  /// to completion of every ADMITTED request that produced a response
+  /// (cache hits included; shed and deadline-expired requests excluded).
+  obs::LatencyHistogram Latencies() const;
 
   /// Seconds since construction on the loop's monotonic clock.
   double NowSec() const;
@@ -243,11 +244,6 @@ class ServeLoop {
   const ServeConfig& config() const { return config_; }
 
  private:
-  struct HistogramStripe {
-    std::mutex mu;
-    LatencyHistogram histogram;
-  };
-
   struct MountHealth {
     enum class State { kClosed, kOpen, kHalfOpen };
     State state = State::kClosed;
@@ -277,7 +273,6 @@ class ServeLoop {
   /// Requires health_mu_. Opens the breaker and schedules the next probe
   /// window with seeded exponential backoff.
   void TripLocked(MountHealth& health, const std::string& prefix);
-  void RecordLatency(double seconds);
   double RetryAfterFor(int64_t consecutive_sheds) const;
   /// The configured tracer if it is currently enabled, else null — so hot
   /// paths pay one branch and never build strings while tracing is off.
@@ -292,22 +287,16 @@ class ServeLoop {
   ShardedResponseCache* cache_;
   std::chrono::steady_clock::time_point epoch_;
 
-  std::atomic<int64_t> offered_{0};
-  std::atomic<int64_t> admitted_{0};
-  std::atomic<int64_t> shed_{0};
-  std::atomic<int64_t> completed_{0};
-  std::atomic<int64_t> errors_{0};
-  std::atomic<int64_t> deadline_expired_{0};
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> consecutive_sheds_{0};
   std::atomic<int64_t> hit_alloc_bytes_{0};
   std::atomic<double> last_retry_after_sec_{0.0};
 
-  std::vector<std::unique_ptr<HistogramStripe>> stripes_;
-
-  // Registry mirrors (null when config_.metrics is null).
-  struct RegistryCounters {
+  /// Handles into the registry that stores the loop's counts
+  /// (config_.metrics, else owned_metrics_), resolved once in the
+  /// constructor. The breaker handles stay null while the breaker is
+  /// disabled, so a disabled breaker registers no "serve.breaker_*" names;
+  /// only breaker code bumps them.
+  struct Counters {
     obs::Counter* offered = nullptr;
     obs::Counter* admitted = nullptr;
     obs::Counter* shed = nullptr;
@@ -316,27 +305,18 @@ class ServeLoop {
     obs::Counter* deadline_expired = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
-  };
-  RegistryCounters reg_;
-  obs::StripedHistogram* reg_latency_ = nullptr;
-  obs::Gauge* reg_hit_alloc_ = nullptr;  // "serve.hit_alloc_bytes".
-
-  // Breaker state. Registry mirrors are resolved only when the breaker is
-  // enabled AND a registry is attached, so a disabled breaker leaves the
-  // metrics namespace exactly as before.
-  std::atomic<int64_t> breaker_opened_{0};
-  std::atomic<int64_t> breaker_closed_{0};
-  std::atomic<int64_t> breaker_probes_{0};
-  std::atomic<int64_t> failover_requests_{0};
-  std::atomic<int64_t> breaker_rejected_{0};
-  struct BreakerCounters {
-    obs::Counter* opened = nullptr;
-    obs::Counter* closed = nullptr;
-    obs::Counter* probes = nullptr;
+    obs::Counter* breaker_opened = nullptr;
+    obs::Counter* breaker_closed = nullptr;
+    obs::Counter* breaker_probes = nullptr;
     obs::Counter* failover = nullptr;
-    obs::Counter* rejected = nullptr;
+    obs::Counter* breaker_rejected = nullptr;
   };
-  BreakerCounters breaker_reg_;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  Counters counters_;
+  obs::StripedHistogram* latency_ = nullptr;  // "serve.latency_sec".
+  obs::Gauge* hit_alloc_gauge_ = nullptr;     // "serve.hit_alloc_bytes".
+
+  // Breaker state.
   mutable std::mutex health_mu_;  // Guards the three members below.
   std::map<std::string, MountHealth> mount_health_;
   std::map<std::string, core::ServiceRegistry*> replicas_;
@@ -344,10 +324,9 @@ class ServeLoop {
 
   std::mutex backend_locks_mu_;
   std::map<std::string, std::unique_ptr<std::mutex>> backend_locks_;
-  std::mutex global_backend_lock_;
 
   // Last member: destroyed first, so workers drain while everything else
-  // (stripes, counters, locks) is still alive.
+  // (counters, histogram, locks) is still alive.
   std::unique_ptr<ThreadPool> pool_;
 };
 

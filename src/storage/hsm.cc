@@ -15,37 +15,38 @@ int64_t UsOf(double seconds) {
   return static_cast<int64_t>(std::llround(seconds * 1e6));
 }
 
-/// Registry-mirror bump: a no-op branch unless a registry was attached.
-inline void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Add(1);
-  }
-}
-
 }  // namespace
 
 HsmCache::HsmCache(sim::Simulation* simulation, DiskVolume* cache_disk,
                    TapeLibrary* tape)
-    : simulation_(simulation), cache_disk_(cache_disk), tape_(tape) {
+    : simulation_(simulation),
+      cache_disk_(cache_disk),
+      tape_(tape),
+      owned_metrics_(std::make_unique<obs::MetricsRegistry>()) {
   DFLOW_CHECK(simulation_ != nullptr);
   DFLOW_CHECK(cache_disk_ != nullptr);
   DFLOW_CHECK(tape_ != nullptr);
+  ResolveCounters(owned_metrics_.get());
 }
 
 void HsmCache::SetObserver(obs::Tracer* tracer,
                            obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.cache_hits = metrics_->GetCounter("hsm.cache_hits");
-    obs_.cache_misses = metrics_->GetCounter("hsm.cache_misses");
-    obs_.evictions = metrics_->GetCounter("hsm.evictions");
-    obs_.read_faults = metrics_->GetCounter("hsm.read_faults");
-    obs_.operator_repairs = metrics_->GetCounter("hsm.operator_repairs");
-    obs_.read_failures = metrics_->GetCounter("hsm.read_failures");
-  } else {
-    obs_ = ObsCounters{};
+  if (metrics != nullptr) {
+    DFLOW_CHECK(owned_metrics_ != nullptr && owned_metrics_->AllCountersZero())
+        << "HsmCache: attach the registry once, before the first count";
+    owned_metrics_.reset();
+    ResolveCounters(metrics);
   }
+}
+
+void HsmCache::ResolveCounters(obs::MetricsRegistry* metrics) {
+  counters_.cache_hits = metrics->GetCounter("hsm.cache_hits");
+  counters_.cache_misses = metrics->GetCounter("hsm.cache_misses");
+  counters_.evictions = metrics->GetCounter("hsm.evictions");
+  counters_.read_faults = metrics->GetCounter("hsm.read_faults");
+  counters_.operator_repairs = metrics->GetCounter("hsm.operator_repairs");
+  counters_.read_failures = metrics->GetCounter("hsm.read_failures");
 }
 
 Status HsmCache::MakeRoom(int64_t bytes) {
@@ -84,8 +85,7 @@ void HsmCache::Evict(const std::string& file) {
   lru_.erase(it->second.lru_it);
   cache_entries_.erase(it);
   disk_contents_.erase(file);
-  ++evictions_;
-  Bump(obs_.evictions);
+  counters_.evictions->Add();
 }
 
 Status HsmCache::Put(const std::string& file, int64_t bytes,
@@ -144,8 +144,7 @@ Status HsmCache::GetChecked(const std::string& file,
                             std::function<void(Result<int64_t>)> on_complete) {
   auto it = cache_entries_.find(file);
   if (it != cache_entries_.end()) {
-    ++hits_;
-    Bump(obs_.cache_hits);
+    counters_.cache_hits->Add();
     Touch(file);
     int64_t bytes = it->second.bytes;
     double access_time = cache_disk_->AccessTime(bytes);
@@ -166,8 +165,7 @@ Status HsmCache::GetChecked(const std::string& file,
   if (!tape_->Contains(file)) {
     return Status::NotFound("HSM: no file '" + file + "'");
   }
-  ++misses_;
-  Bump(obs_.cache_misses);
+  counters_.cache_misses->Add();
   DFLOW_ASSIGN_OR_RETURN(int64_t bytes, tape_->FileSize(file));
   DFLOW_RETURN_IF_ERROR(MakeRoom(bytes));
   InstallInCache(file, bytes);
@@ -224,8 +222,7 @@ Status HsmCache::GetContentChecked(
   auto it = cache_entries_.find(file);
   auto content_it = disk_contents_.find(file);
   if (it != cache_entries_.end() && content_it != disk_contents_.end()) {
-    ++hits_;
-    Bump(obs_.cache_hits);
+    counters_.cache_hits->Add();
     Touch(file);
     int64_t bytes = it->second.bytes;
     double access_time = cache_disk_->AccessTime(bytes);
@@ -246,8 +243,7 @@ Status HsmCache::GetContentChecked(
   if (!tape_->HasContent(file)) {
     return Status::NotFound("HSM: no content '" + file + "'");
   }
-  ++misses_;
-  Bump(obs_.cache_misses);
+  counters_.cache_misses->Add();
   DFLOW_ASSIGN_OR_RETURN(int64_t raw_bytes, tape_->RawContentSize(file));
   DFLOW_RETURN_IF_ERROR(MakeRoom(raw_bytes));
   InstallInCache(file, raw_bytes);
@@ -273,8 +269,8 @@ Status HsmCache::GetContentChecked(
     if (result.ok()) {
       disk_contents_[file] = *result;
     } else {
-      Evict(file);  // Undo the speculative installation; evictions_ is
-                    // bumped, matching the size-only path's accounting.
+      Evict(file);  // Undo the speculative installation; the eviction is
+                    // counted, matching the size-only path's accounting.
     }
     if (cb) {
       cb(std::move(result));
@@ -296,8 +292,7 @@ void HsmCache::RecallContentWithRetry(
           }
           return;
         }
-        ++read_faults_;
-        Bump(obs_.read_faults);
+        counters_.read_faults->Add();
         if (obs::Tracer* tracer = ActiveTracer()) {
           tracer->InstantEvent("hsm.read_fault", "storage",
                                {{"file", file},
@@ -309,8 +304,7 @@ void HsmCache::RecallContentWithRetry(
         const bool retryable =
             content.status().code() == StatusCode::kIOError;
         if (!retryable || attempt + 1 >= fault_policy_.max_read_attempts) {
-          ++read_failures_;
-          Bump(obs_.read_failures);
+          counters_.read_failures->Add();
           if (cb) {
             cb(std::move(content));
           }
@@ -322,8 +316,7 @@ void HsmCache::RecallContentWithRetry(
         simulation_->Schedule(
             fault_policy_.operator_repair_seconds,
             [this, file, attempt, cb = std::move(cb)]() mutable {
-              ++operator_repairs_;
-              Bump(obs_.operator_repairs);
+              counters_.operator_repairs->Add();
               if (obs::Tracer* tracer = ActiveTracer()) {
                 tracer->InstantEvent("hsm.operator_repair", "storage",
                                      {{"file", file}});
@@ -347,16 +340,14 @@ void HsmCache::RecallWithRetry(
           }
           return;
         }
-        ++read_faults_;
-        Bump(obs_.read_faults);
+        counters_.read_faults->Add();
         if (obs::Tracer* tracer = ActiveTracer()) {
           tracer->InstantEvent("hsm.read_fault", "storage",
                                {{"file", file},
                                 {"attempt", std::to_string(attempt)}});
         }
         if (attempt + 1 >= fault_policy_.max_read_attempts) {
-          ++read_failures_;
-          Bump(obs_.read_failures);
+          counters_.read_failures->Add();
           if (cb) {
             cb(std::move(bytes));
           }
@@ -369,8 +360,7 @@ void HsmCache::RecallWithRetry(
         simulation_->Schedule(
             fault_policy_.operator_repair_seconds,
             [this, file, attempt, cb = std::move(cb)]() mutable {
-              ++operator_repairs_;
-              Bump(obs_.operator_repairs);
+              counters_.operator_repairs->Add();
               if (obs::Tracer* tracer = ActiveTracer()) {
                 tracer->InstantEvent("hsm.operator_repair", "storage",
                                      {{"file", file}});

@@ -5,6 +5,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.h"
@@ -78,17 +79,23 @@ class HsmCache {
   /// Attaches observability hooks (borrowed; either may be null). With a
   /// tracer, cache reads, tape recalls (spanning every bad-block retry),
   /// and archive puts emit virtual-time spans; operator repairs emit
-  /// instants. With a registry, the cache/fault counters are mirrored
-  /// under "hsm.cache_hits", ".cache_misses", ".evictions",
-  /// ".read_faults", ".operator_repairs", ".read_failures".
+  /// instants. The cache/fault counts live under "hsm.cache_hits",
+  /// ".cache_misses", ".evictions", ".read_faults", ".operator_repairs"
+  /// and ".read_failures": in a private registry until `metrics` is
+  /// given, then in `metrics`. A registry must be given before the first
+  /// counted event (DFLOW_CHECK), and at most once.
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   /// Tape recalls that failed on a bad block (before retry).
-  int64_t read_faults() const { return read_faults_; }
+  int64_t read_faults() const { return counters_.read_faults->Value(); }
   /// Operator interventions performed (bad-block repairs).
-  int64_t operator_repairs() const { return operator_repairs_; }
+  int64_t operator_repairs() const {
+    return counters_.operator_repairs->Value();
+  }
   /// Recalls abandoned after exhausting the fault policy.
-  int64_t read_failures() const { return read_failures_; }
+  int64_t read_failures() const {
+    return counters_.read_failures->Value();
+  }
 
   /// Drops a file from the disk cache (it remains on tape).
   void Evict(const std::string& file);
@@ -97,15 +104,15 @@ class HsmCache {
     return cache_entries_.count(file) > 0;
   }
 
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
+  int64_t hits() const { return counters_.cache_hits->Value(); }
+  int64_t misses() const { return counters_.cache_misses->Value(); }
   double HitRate() const {
-    int64_t total = hits_ + misses_;
+    int64_t total = hits() + misses();
     return total == 0 ? 0.0
-                      : static_cast<double>(hits_) /
+                      : static_cast<double>(hits()) /
                             static_cast<double>(total);
   }
-  int64_t evictions() const { return evictions_; }
+  int64_t evictions() const { return counters_.evictions->Value(); }
 
  private:
   /// Frees cache space for `bytes`, evicting least-recently-used files.
@@ -117,6 +124,7 @@ class HsmCache {
   void RecallContentWithRetry(
       const std::string& file, int attempt,
       std::function<void(Result<std::string>)> on_complete);
+  void ResolveCounters(obs::MetricsRegistry* metrics);
 
   sim::Simulation* simulation_;
   DiskVolume* cache_disk_;
@@ -132,11 +140,11 @@ class HsmCache {
   /// Raw bytes of content-bearing cached files (subset of cache_entries_).
   std::map<std::string, std::string> disk_contents_;
 
-  // Observability (both null until SetObserver): counter handles are
-  // resolved once, bumps are one null-check when no registry is attached.
+  // Observability. The counter handles point into owned_metrics_ until
+  // SetObserver() is given a registry; the accessors above read them.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  struct Counters {
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
     obs::Counter* evictions = nullptr;
@@ -144,19 +152,13 @@ class HsmCache {
     obs::Counter* operator_repairs = nullptr;
     obs::Counter* read_failures = nullptr;
   };
-  ObsCounters obs_;
+  Counters counters_;
   /// The configured tracer if currently enabled, else null.
   obs::Tracer* ActiveTracer() const {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
   }
 
   HsmFaultPolicy fault_policy_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t evictions_ = 0;
-  int64_t read_faults_ = 0;
-  int64_t operator_repairs_ = 0;
-  int64_t read_failures_ = 0;
 };
 
 }  // namespace dflow::storage

@@ -13,13 +13,6 @@ int64_t UsOf(double seconds) {
   return static_cast<int64_t>(std::llround(seconds * 1e6));
 }
 
-/// Registry-mirror bump: a no-op branch unless a registry was attached.
-inline void Bump(obs::Counter* counter) {
-  if (counter != nullptr) {
-    counter->Add(1);
-  }
-}
-
 }  // namespace
 
 MediaMigration::MediaMigration(sim::Simulation* simulation,
@@ -27,26 +20,40 @@ MediaMigration::MediaMigration(sim::Simulation* simulation,
                                TapeLibrary* destination,
                                MigrationConfig config, uint64_t seed)
     : simulation_(simulation), source_(source), destination_(destination),
-      config_(config), rng_(seed) {
+      config_(config), rng_(seed),
+      owned_metrics_(std::make_unique<obs::MetricsRegistry>()) {
   DFLOW_CHECK(simulation_ != nullptr);
   DFLOW_CHECK(source_ != nullptr);
   DFLOW_CHECK(destination_ != nullptr);
   DFLOW_CHECK(config_.parallel_streams > 0);
+  ResolveCounters(owned_metrics_.get());
 }
 
 void MediaMigration::SetObserver(obs::Tracer* tracer,
                                  obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    obs_.files_migrated = metrics_->GetCounter("migration.files_migrated");
-    obs_.files_lost = metrics_->GetCounter("migration.files_lost");
-    obs_.retries = metrics_->GetCounter("migration.retries");
-    obs_.bad_block_repairs =
-        metrics_->GetCounter("migration.bad_block_repairs");
-  } else {
-    obs_ = ObsCounters{};
+  if (metrics != nullptr) {
+    DFLOW_CHECK(owned_metrics_ != nullptr && owned_metrics_->AllCountersZero())
+        << "MediaMigration: attach the registry once, before the first count";
+    owned_metrics_.reset();
+    ResolveCounters(metrics);
   }
+}
+
+void MediaMigration::ResolveCounters(obs::MetricsRegistry* metrics) {
+  counters_.files_migrated = metrics->GetCounter("migration.files_migrated");
+  counters_.files_lost = metrics->GetCounter("migration.files_lost");
+  counters_.retries = metrics->GetCounter("migration.retries");
+  counters_.bad_block_repairs =
+      metrics->GetCounter("migration.bad_block_repairs");
+}
+
+const MigrationReport& MediaMigration::report() const {
+  report_.files_migrated = counters_.files_migrated->Value();
+  report_.files_lost = counters_.files_lost->Value();
+  report_.retries = counters_.retries->Value();
+  report_.bad_block_repairs = counters_.bad_block_repairs->Value();
+  return report_;
 }
 
 Status MediaMigration::Run(
@@ -62,7 +69,7 @@ Status MediaMigration::Run(
   if (pending_.empty()) {
     report_.virtual_seconds = 0.0;
     if (on_complete_) {
-      simulation_->Schedule(0.0, [this] { on_complete_(report_); });
+      simulation_->Schedule(0.0, [this] { on_complete_(report()); });
     }
     return Status::OK();
   }
@@ -79,7 +86,7 @@ void MediaMigration::PumpNext() {
       if (on_complete_) {
         auto done = std::move(on_complete_);
         on_complete_ = nullptr;
-        done(report_);
+        done(report());
       }
     }
     return;
@@ -92,11 +99,9 @@ void MediaMigration::PumpNext() {
 void MediaMigration::FinishFile(const std::string& file, int attempt,
                                 double start_sec, bool migrated) {
   if (migrated) {
-    ++report_.files_migrated;
-    Bump(obs_.files_migrated);
+    counters_.files_migrated->Add();
   } else {
-    ++report_.files_lost;
-    Bump(obs_.files_lost);
+    counters_.files_lost->Add();
   }
   if (obs::Tracer* tracer = ActiveTracer()) {
     double end_sec = simulation_->Now();
@@ -123,10 +128,8 @@ void MediaMigration::MigrateOne(const std::string& file, int attempt,
         FinishFile(file, attempt, start_sec, /*migrated=*/false);
         return;
       }
-      ++report_.retries;
-      Bump(obs_.retries);
-      ++report_.bad_block_repairs;
-      Bump(obs_.bad_block_repairs);
+      counters_.retries->Add();
+      counters_.bad_block_repairs->Add();
       simulation_->Schedule(config_.bad_block_repair_seconds,
                             [this, file, attempt, start_sec] {
                               if (obs::Tracer* tracer = ActiveTracer()) {
@@ -148,8 +151,7 @@ void MediaMigration::MigrateOne(const std::string& file, int attempt,
         FinishFile(file, attempt, start_sec, /*migrated=*/false);
         return;
       }
-      ++report_.retries;
-      Bump(obs_.retries);
+      counters_.retries->Add();
       MigrateOne(file, attempt + 1, start_sec);
       return;
     }

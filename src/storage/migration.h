@@ -2,6 +2,7 @@
 #define DFLOW_STORAGE_MIGRATION_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,13 +61,16 @@ class MediaMigration {
 
   /// Attaches observability hooks (borrowed; either may be null). With a
   /// tracer, every file migration emits one virtual-time span (covering
-  /// all of its retries) plus instants for bad-block repairs. With a
-  /// registry, report counters are mirrored under
-  /// "migration.files_migrated", ".files_lost", ".retries",
-  /// ".bad_block_repairs". Attach before Run().
+  /// all of its retries) plus instants for bad-block repairs. The report's
+  /// counts live under "migration.files_migrated", ".files_lost",
+  /// ".retries" and ".bad_block_repairs": in a private registry until
+  /// `metrics` is given, then in `metrics`. A registry must be given
+  /// before the first counted event (DFLOW_CHECK), and at most once.
   void SetObserver(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  const MigrationReport& report() const { return report_; }
+  /// The report so far; its four counted fields are read from the
+  /// counters at each call.
+  const MigrationReport& report() const;
 
  private:
   void PumpNext();
@@ -75,6 +79,7 @@ class MediaMigration {
   /// the next pump.
   void FinishFile(const std::string& file, int attempt, double start_sec,
                   bool migrated);
+  void ResolveCounters(obs::MetricsRegistry* metrics);
   /// The configured tracer if currently enabled, else null.
   obs::Tracer* ActiveTracer() const {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
@@ -90,19 +95,22 @@ class MediaMigration {
   int in_flight_ = 0;
   bool started_ = false;
   double start_time_ = 0.0;
-  MigrationReport report_;
+  /// Holds files_total, bytes_migrated and virtual_seconds; report()
+  /// fills in the counted fields.
+  mutable MigrationReport report_;
   std::function<void(const MigrationReport&)> on_complete_;
 
-  // Observability (both null until SetObserver).
+  // Observability. The counter handles point into owned_metrics_ until
+  // SetObserver() is given a registry.
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  struct ObsCounters {
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  struct Counters {
     obs::Counter* files_migrated = nullptr;
     obs::Counter* files_lost = nullptr;
     obs::Counter* retries = nullptr;
     obs::Counter* bad_block_repairs = nullptr;
   };
-  ObsCounters obs_;
+  Counters counters_;
 };
 
 }  // namespace dflow::storage

@@ -353,7 +353,7 @@ TEST(ClusterPartitionTest, ArmPlanValidatesTargets) {
 }
 
 // ---------------------------------------------------------------------
-// Exact accounting for the new failure counter (and its obs mirror).
+// Exact accounting for the write-failure counter, read from the registry.
 
 TEST(ClusterPartitionTest, PutFailuresExactAccounting) {
   obs::MetricsRegistry metrics;
@@ -385,10 +385,13 @@ TEST(ClusterPartitionTest, PutFailuresExactAccounting) {
   ClusterStats stats = (*cluster)->Stats();
   EXPECT_EQ(stats.put_failures, quorum_failures + dead_failures);
   EXPECT_EQ(stats.writes, 1);
-  // The obs mirror agrees exactly.
-  EXPECT_EQ(metrics.GetCounter("cluster.put_failures")->Value(),
-            stats.put_failures);
-  EXPECT_EQ(metrics.GetCounter("cluster.writes")->Value(), stats.writes);
+  // The injected registry is where those counts live, under their names.
+  EXPECT_EQ(metrics.CounterValue("cluster.put_failures"),
+            quorum_failures + dead_failures);
+  EXPECT_EQ(metrics.CounterValue("cluster.writes"), 1);
+  EXPECT_EQ(metrics.CounterValue("cluster.kills"), 2);
+  // Both replicas applied the one acknowledged write.
+  EXPECT_EQ(metrics.CounterValue("cluster.replica_writes"), 2);
 }
 
 // ---------------------------------------------------------------------

@@ -121,6 +121,38 @@ TEST(ClusterTest, ExecuteRoutesEveryRequestExactlyOnce) {
   EXPECT_GT(nodes_used, 1);
 }
 
+TEST(ClusterTest, NodeServeStatsStayPerNode) {
+  // Each node's ServeLoop counts into its own private registry, so a
+  // node's stats hold only the traffic dispatched to that node.
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.seed = 11;
+  auto cluster = Cluster::Create(config, PlainBackends());
+  ASSERT_TRUE(cluster.ok()) << cluster.status().message();
+
+  const int kRequests = 120;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE((*cluster)->Execute(Req("svc/echo/" + std::to_string(i))).ok());
+  }
+  int64_t offered = 0;
+  int64_t completed = 0;
+  int nodes_used = 0;
+  for (const std::string& node : (*cluster)->node_names()) {
+    auto stats = (*cluster)->NodeServeStats(node);
+    ASSERT_TRUE(stats.ok()) << stats.status().message();
+    EXPECT_LT(stats->offered, kRequests) << node;
+    EXPECT_EQ(stats->completed, stats->offered) << node;
+    offered += stats->offered;
+    completed += stats->completed;
+    nodes_used += stats->offered > 0 ? 1 : 0;
+  }
+  // Every request was offered to exactly one node, and no node's view
+  // holds another's share.
+  EXPECT_EQ(offered, kRequests);
+  EXPECT_EQ(completed, kRequests);
+  EXPECT_GT(nodes_used, 1);
+}
+
 TEST(ClusterTest, ResponsesMatchTheMonolith) {
   core::ServiceRegistry monolith;
   ASSERT_TRUE(

@@ -23,6 +23,8 @@
 #include "core/flow_runner.h"
 #include "core/stage.h"
 #include "core/web_service.h"
+#include "db/buffer_pool.h"
+#include "db/page_store.h"
 #include "net/network_link.h"
 #include "net/transfer.h"
 #include "obs/metrics.h"
@@ -436,7 +438,7 @@ TEST(ServeLoopObsTest, DifferentSeedsExportDifferentTraces) {
   EXPECT_NE(RunServeTrace(7), RunServeTrace(8));
 }
 
-TEST(ServeLoopObsTest, RegistryMirrorsStatsAndCacheTotals) {
+TEST(ServeLoopObsTest, RegistryCountsMatchWorkloadAndCacheTotals) {
   core::ServiceRegistry registry;
   ASSERT_TRUE(registry.Mount("svc", std::make_shared<EchoService>()).ok());
   serve::ShardedResponseCache cache(serve::CacheConfig{2, 1 << 20, 0.0});
@@ -454,27 +456,27 @@ TEST(ServeLoopObsTest, RegistryMirrorsStatsAndCacheTotals) {
   }
   loop.Drain();
 
+  // The registry holds exactly what the workload implies: ten requests
+  // for one key, all admitted and completed, one miss then nine hits.
+  EXPECT_EQ(metrics.CounterValue("serve.offered"), 10);
+  EXPECT_EQ(metrics.CounterValue("serve.admitted"), 10);
+  EXPECT_EQ(metrics.CounterValue("serve.completed"), 10);
+  EXPECT_EQ(metrics.CounterValue("serve.errors"), 0);
+  EXPECT_EQ(metrics.CounterValue("serve.shed"), 0);
+  EXPECT_EQ(metrics.CounterValue("serve.cache_hits"), 9);
+  EXPECT_EQ(metrics.CounterValue("serve.cache_misses"), 1);
+  // Stats() is a view over the same counters.
   serve::ServeStats stats = loop.Stats();
   EXPECT_EQ(stats.offered, 10);
-  EXPECT_EQ(stats.completed, 10);
   EXPECT_EQ(stats.cache_hits, 9);
-  EXPECT_EQ(stats.cache_misses, 1);
-
-  // Registry mirrors agree with Stats() ...
-  EXPECT_EQ(metrics.CounterValue("serve.offered"), stats.offered);
-  EXPECT_EQ(metrics.CounterValue("serve.admitted"), stats.admitted);
-  EXPECT_EQ(metrics.CounterValue("serve.completed"), stats.completed);
-  EXPECT_EQ(metrics.CounterValue("serve.cache_hits"), stats.cache_hits);
-  EXPECT_EQ(metrics.CounterValue("serve.cache_misses"), stats.cache_misses);
-  // ... and with the cache's own (independently counted) totals.
+  // The cache counts on its own, so its totals are an independent check.
   serve::CacheStats totals = cache.Totals();
   EXPECT_EQ(metrics.CounterValue("serve.cache_hits"), totals.hits);
   EXPECT_EQ(metrics.CounterValue("serve.cache_misses"), totals.misses);
-  // Every completed request left one latency sample in the registry
-  // histogram, matching the loop's own striped histograms.
+  // One latency sample per completed request.
   EXPECT_EQ(metrics.GetHistogram("serve.latency_sec")->Snapshot().count(),
-            stats.completed);
-  EXPECT_EQ(loop.Latencies().count(), stats.completed);
+            10);
+  EXPECT_EQ(loop.Latencies().count(), 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -510,14 +512,16 @@ TEST(StorageObsTest, HsmCountersAndSpans) {
   simulation.Run();
   EXPECT_EQ(recalled, 10 * kGB);
 
-  EXPECT_EQ(metrics.CounterValue("hsm.cache_hits"), hsm.hits());
-  EXPECT_EQ(metrics.CounterValue("hsm.cache_misses"), hsm.misses());
-  EXPECT_EQ(metrics.CounterValue("hsm.evictions"), hsm.evictions());
-  EXPECT_EQ(metrics.CounterValue("hsm.read_faults"), hsm.read_faults());
-  EXPECT_EQ(metrics.CounterValue("hsm.operator_repairs"),
-            hsm.operator_repairs());
+  // One hit, one explicit eviction, one miss whose recall hit one bad
+  // block that one operator repair cleared.
+  EXPECT_EQ(metrics.CounterValue("hsm.cache_hits"), 1);
+  EXPECT_EQ(metrics.CounterValue("hsm.cache_misses"), 1);
+  EXPECT_EQ(metrics.CounterValue("hsm.evictions"), 1);
+  EXPECT_EQ(metrics.CounterValue("hsm.read_faults"), 1);
+  EXPECT_EQ(metrics.CounterValue("hsm.operator_repairs"), 1);
+  EXPECT_EQ(metrics.CounterValue("hsm.read_failures"), 0);
+  EXPECT_EQ(hsm.hits(), 1);
   EXPECT_EQ(hsm.read_faults(), 1);
-  EXPECT_EQ(hsm.operator_repairs(), 1);
 
   std::string trace = tracer.ExportChromeJson();
   EXPECT_NE(trace.find("hsm.archive_put"), std::string::npos);
@@ -562,17 +566,56 @@ TEST(StorageObsTest, MigrationCountersAndSpans) {
   EXPECT_EQ(report.files_migrated, 3);
   EXPECT_EQ(report.files_lost, 0);
   EXPECT_EQ(report.bad_block_repairs, 1);
-  EXPECT_EQ(metrics.CounterValue("migration.files_migrated"),
-            report.files_migrated);
-  EXPECT_EQ(metrics.CounterValue("migration.files_lost"), report.files_lost);
-  EXPECT_EQ(metrics.CounterValue("migration.retries"), report.retries);
-  EXPECT_EQ(metrics.CounterValue("migration.bad_block_repairs"),
-            report.bad_block_repairs);
+  // Three files, one bad block: one repair, one retry, nothing lost.
+  EXPECT_EQ(metrics.CounterValue("migration.files_migrated"), 3);
+  EXPECT_EQ(metrics.CounterValue("migration.files_lost"), 0);
+  EXPECT_EQ(metrics.CounterValue("migration.retries"), 1);
+  EXPECT_EQ(metrics.CounterValue("migration.bad_block_repairs"), 1);
 
   std::string trace = tracer.ExportChromeJson();
   EXPECT_NE(trace.find("migrate_file"), std::string::npos);
   EXPECT_NE(trace.find("bad_block_repair"), std::string::npos);
   EXPECT_NE(trace.find("\"outcome\":\"migrated\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Injection order: a component counts into a private registry until one is
+// injected, so a registry injected after the first count would silently
+// strand the counts made before it. That is a check failure, not a
+// quietly wrong view.
+
+TEST(ObsDeathTest, RegistryInjectedAfterFirstCountIsFatal) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  obs::MetricsRegistry metrics;
+  EXPECT_DEATH(
+      {
+        db::BufferPool pool(db::BufferPoolOptions{},
+                            std::make_unique<db::MemPageStore>());
+        (void)pool.Allocate();  // db.pool.allocations = 1.
+        pool.SetMetricsRegistry(&metrics);
+      },
+      "must precede the first counted event");
+  EXPECT_DEATH(
+      {
+        sim::Simulation simulation;
+        storage::DiskVolume disk("cache", 100 * kGB, 400.0e6, 0.005);
+        storage::TapeLibrary tape(&simulation, "tape",
+                                  storage::TapeLibraryConfig{});
+        storage::HsmCache hsm(&simulation, &disk, &tape);
+        (void)hsm.Put("run1", kGB, [] {});
+        simulation.Run();
+        hsm.Evict("run1");  // hsm.evictions = 1.
+        hsm.SetObserver(nullptr, &metrics);
+      },
+      "before the first count");
+
+  // Attaching before any count is fine, and the counts land in `metrics`.
+  db::BufferPool pool(db::BufferPoolOptions{},
+                      std::make_unique<db::MemPageStore>());
+  pool.SetMetricsRegistry(&metrics);
+  ASSERT_TRUE(pool.Allocate().ok());
+  EXPECT_EQ(metrics.CounterValue("db.pool.allocations"), 1);
+  EXPECT_EQ(pool.stats().allocations, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -600,11 +643,10 @@ TEST(NetObsTest, TransferSpansAndCounters) {
   ASSERT_TRUE(delivered);
   EXPECT_TRUE(scheduler.AllDelivered());
 
+  // One corrupted arrival, one retransmit, both files delivered.
   EXPECT_EQ(scheduler.retries(), 1);
-  EXPECT_EQ(metrics.CounterValue("net.transfer.retries"),
-            scheduler.retries());
-  EXPECT_EQ(metrics.CounterValue("net.transfer.failures"),
-            scheduler.failures());
+  EXPECT_EQ(metrics.CounterValue("net.transfer.retries"), 1);
+  EXPECT_EQ(metrics.CounterValue("net.transfer.failures"), 0);
   EXPECT_EQ(metrics.CounterValue("net.transfer.delivered"), 2);
 
   std::string trace = tracer.ExportChromeJson();

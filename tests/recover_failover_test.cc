@@ -172,12 +172,20 @@ TEST(ServeFailoverTest, DeadBackendShedsToReplicaAndRecovers) {
   ASSERT_EQ(health.size(), 1u);
   EXPECT_EQ(health[0].state, "closed");
   EXPECT_EQ(health[0].consecutive_trips, 0);
-  // Registry mirrors.
-  EXPECT_EQ(metrics.CounterValue("serve.breaker_opened"),
-            stats.breaker_opened);
-  EXPECT_EQ(metrics.CounterValue("serve.breaker_closed"),
-            stats.breaker_closed);
-  EXPECT_EQ(metrics.CounterValue("serve.failover"), stats.failover_requests);
+  // The registry's counts follow from the backends' own call counts: the
+  // replica served exactly the failed-over requests, and every primary
+  // call past the two that tripped the breaker and the final closed-path
+  // request was a probe. Each failed probe re-opened the breaker and the
+  // one that succeeded closed it, so opens equal probes.
+  const int64_t probes = h.primary->calls() - 3;
+  EXPECT_GE(probes, 1);
+  EXPECT_EQ(metrics.CounterValue("serve.failover"), h.replica->calls());
+  EXPECT_EQ(metrics.CounterValue("serve.breaker_probes"), probes);
+  EXPECT_EQ(metrics.CounterValue("serve.breaker_opened"), probes);
+  EXPECT_EQ(metrics.CounterValue("serve.breaker_closed"), 1);
+  EXPECT_EQ(metrics.CounterValue("serve.breaker_rejected"), 0);
+  EXPECT_EQ(metrics.CounterValue("serve.offered"),
+            h.primary->calls() + h.replica->calls());
 }
 
 TEST(ServeFailoverTest, FailedProbeReopensWithGrownWindow) {

@@ -72,15 +72,15 @@ TEST(ScrubberTest, DetectsAndRepairsFromReplica) {
     EXPECT_FALSE(primary.HasBadBlock(file)) << file;
     EXPECT_FALSE(primary.IsSilentlyCorrupt(file)) << file;
   }
-  // Registry mirrors match the accessors.
-  EXPECT_EQ(metrics.CounterValue("scrub.files_scanned"),
-            scrubber.files_scanned());
-  EXPECT_EQ(metrics.CounterValue("scrub.bad_blocks_found"),
-            scrubber.bad_blocks_found());
-  EXPECT_EQ(metrics.CounterValue("scrub.silent_corruption_found"),
-            scrubber.silent_corruption_found());
-  EXPECT_EQ(metrics.CounterValue("scrub.restored_from_replica"),
-            scrubber.restored_from_replica());
+  // The injected registry holds the same counts, fixed by the injected
+  // faults: six files, two bad blocks, two silent corruptions, four
+  // restores, in one pass.
+  EXPECT_EQ(metrics.CounterValue("scrub.files_scanned"), 6);
+  EXPECT_EQ(metrics.CounterValue("scrub.bad_blocks_found"), 2);
+  EXPECT_EQ(metrics.CounterValue("scrub.silent_corruption_found"), 2);
+  EXPECT_EQ(metrics.CounterValue("scrub.tickets_filed"), 4);
+  EXPECT_EQ(metrics.CounterValue("scrub.restored_from_replica"), 4);
+  EXPECT_EQ(metrics.CounterValue("scrub.passes"), 1);
   // The trace carries the cycle span and the detection instants.
   std::string trace = tracer.ExportChromeJson();
   EXPECT_NE(trace.find("scrub.cycle"), std::string::npos);
@@ -178,8 +178,10 @@ TEST(ScrubberTest, HsmRepairRacesScrubTicket) {
 }
 
 // Stress (ASan/TSan): many independent simulations scrubbing in parallel
-// threads, all publishing into ONE shared MetricsRegistry and ONE shared
-// Tracer — the cross-thread surface of the scrubber.
+// threads, all counting into ONE shared MetricsRegistry and tracing into
+// ONE shared Tracer — the cross-thread surface of the scrubber. Sharing a
+// registry shares its counters, so each scrubber's accessors read the
+// totals; each thread's own outcome is read from its archive instead.
 TEST(ScrubberStressTest, ParallelScrubsSharedObservability) {
   constexpr int kThreads = 8;
   constexpr int kFiles = 12;
@@ -187,10 +189,10 @@ TEST(ScrubberStressTest, ParallelScrubsSharedObservability) {
   obs::TracerConfig trace_config;
   obs::Tracer tracer(trace_config);  // Wall clock; content not asserted.
   std::vector<std::thread> threads;
-  std::vector<int64_t> repaired(kThreads, 0);
+  std::vector<int64_t> faults_left(kThreads, -1);
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &metrics, &tracer, &repaired] {
+    threads.emplace_back([t, &metrics, &tracer, &faults_left] {
       sim::Simulation sim;
       storage::TapeLibrary primary(&sim, "p" + std::to_string(t),
                                    storage::TapeLibraryConfig{});
@@ -217,23 +219,27 @@ TEST(ScrubberStressTest, ParallelScrubsSharedObservability) {
         return;
       }
       sim.Run();
-      repaired[t] =
-          scrubber.restored_from_replica() + scrubber.repairs_local();
+      int64_t left = 0;
+      for (const std::string& file : primary.FileNames()) {
+        if (primary.HasBadBlock(file) || primary.IsSilentlyCorrupt(file)) {
+          ++left;
+        }
+      }
+      faults_left[t] = left;
     });
   }
   for (std::thread& thread : threads) {
     thread.join();
   }
-  int64_t total_repaired = 0;
-  for (int64_t r : repaired) {
-    EXPECT_EQ(r, kFiles / 2);  // Every injected fault repaired.
-    total_repaired += r;
+  for (int64_t left : faults_left) {
+    EXPECT_EQ(left, 0);  // Every injected fault repaired.
   }
+  // Exactly one repair per injected fault, summed over every thread.
   EXPECT_EQ(metrics.CounterValue("scrub.files_scanned"),
             int64_t{kThreads} * kFiles);
   EXPECT_EQ(metrics.CounterValue("scrub.repairs_local") +
                 metrics.CounterValue("scrub.restored_from_replica"),
-            total_repaired);
+            int64_t{kThreads} * (kFiles / 2));
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/web_service.h"
-#include "serve/latency_histogram.h"
+#include "obs/latency_histogram.h"
 #include "serve/response_cache.h"
 #include "serve/serve_loop.h"
 #include "serve/workload_gen.h"
@@ -26,9 +26,9 @@ namespace {
 
 using core::ServiceRequest;
 using core::ServiceResponse;
+using obs::LatencyHistogram;
 using serve::CacheConfig;
 using serve::CacheStats;
-using serve::LatencyHistogram;
 using serve::ServeConfig;
 using serve::ServeLoop;
 using serve::ShardedResponseCache;
