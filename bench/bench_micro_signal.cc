@@ -1,10 +1,13 @@
-// Microbenchmarks of the Arecibo signal-processing kernels: FFT,
-// dedispersion, harmonic-summed search, and wlz (de)compression -- the
-// CPU costs behind the paper's "50 to 200 processors" estimate.
+// Microbenchmarks of the Arecibo signal-processing kernels: noise
+// synthesis, FFT, dedispersion, harmonic-summed search, and wlz
+// (de)compression -- the CPU costs behind the paper's "50 to 200
+// processors" estimate.
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -59,6 +62,58 @@ void BM_FftTwiddleTable(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FftTwiddleTable);
+
+// One beam of radiometer noise (96 channels x 8192 samples), three ways:
+// the per-sample Normal() loop, the batched Rng::FillNormal, and the full
+// SpectrometerModel::Generate that wraps the latter. The batched fill is
+// checked byte-equal to the loop before timing.
+constexpr size_t kBeamSamples = 96 * 8192;
+
+void BM_NormalLoop(benchmark::State& state) {
+  Rng rng(8);
+  std::vector<float> out(kBeamSamples);
+  for (auto _ : state) {
+    for (float& x : out) {
+      x = static_cast<float>(rng.Normal());
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBeamSamples));
+}
+BENCHMARK(BM_NormalLoop)->Unit(benchmark::kMillisecond);
+
+void BM_FillNormal(benchmark::State& state) {
+  {
+    Rng batched(8), loop(8);
+    std::vector<float> got(kBeamSamples), want(kBeamSamples);
+    batched.FillNormal(got.data(), got.size());
+    for (float& x : want) {
+      x = static_cast<float>(loop.Normal());
+    }
+    DFLOW_CHECK(std::memcmp(got.data(), want.data(),
+                            kBeamSamples * sizeof(float)) == 0);
+  }
+  Rng rng(8);
+  std::vector<float> out(kBeamSamples);
+  for (auto _ : state) {
+    rng.FillNormal(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBeamSamples));
+}
+BENCHMARK(BM_FillNormal)->Unit(benchmark::kMillisecond);
+
+void BM_SpectrometerGenerate(benchmark::State& state) {
+  SpectrometerModel model(96, 8192, 6.4e-5, 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Generate({}, {}));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBeamSamples));
+}
+BENCHMARK(BM_SpectrometerGenerate)->Unit(benchmark::kMillisecond);
 
 void BM_DedisperseOneTrial(benchmark::State& state) {
   SpectrometerModel model(96, 1 << 14, 6.4e-5, 2);

@@ -109,13 +109,6 @@ void PowerSpectrum(const std::vector<double>& series, FftScratch* scratch,
   }
 }
 
-std::vector<double> PowerSpectrum(const std::vector<double>& series) {
-  FftScratch scratch;
-  std::vector<double> power;
-  PowerSpectrum(series, &scratch, &power);
-  return power;
-}
-
 Status PowerSpectrumPair(const std::vector<double>& a,
                          const std::vector<double>& b, FftScratch* scratch,
                          std::vector<double>* power_a,

@@ -53,13 +53,11 @@ class FftScratch {
 };
 
 /// Power spectrum of a real time series: zero-pads to the next power of
-/// two, FFTs, and returns |X_k|^2 for k = 0..N/2-1 (the one-sided
-/// spectrum). The DC bin is zeroed so detrending is unnecessary upstream.
-std::vector<double> PowerSpectrum(const std::vector<double>& series);
-
-/// Scratch-reusing form: identical output to the vector-returning shim
-/// above (bit-for-bit — same code path), but the complex work buffer lives
-/// in `scratch` and `power` is reused across calls.
+/// two, FFTs, and writes |X_k|^2 for k = 0..N/2-1 (the one-sided spectrum)
+/// to `power`. The DC bin is zeroed so detrending is unnecessary upstream.
+/// The complex work buffer lives in `scratch`; its previous contents never
+/// reach the output, so a reused scratch gives the same bytes as a fresh
+/// one.
 void PowerSpectrum(const std::vector<double>& series, FftScratch* scratch,
                    std::vector<double>* power);
 

@@ -107,7 +107,9 @@ std::vector<Candidate> PeriodicitySearch::Search(
   if (series.samples.size() < 8) {
     return {};
   }
-  const std::vector<double> power = PowerSpectrum(series.samples);
+  FftScratch scratch;
+  std::vector<double> power;
+  PowerSpectrum(series.samples, &scratch, &power);
   return SearchPower(power, series);
 }
 

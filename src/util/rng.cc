@@ -81,6 +81,40 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * u * factor;
 }
 
+void Rng::FillNormal(float* out, size_t n, double mean, double stddev) {
+  size_t i = 0;
+  if (n > 0 && has_spare_normal_) {
+    out[i++] = static_cast<float>(Normal(mean, stddev));
+  }
+  constexpr size_t kBlockPairs = 512;
+  double u[kBlockPairs];
+  double v[kBlockPairs];
+  double s[kBlockPairs];
+  while (n - i >= 2) {
+    const size_t pairs = std::min(kBlockPairs, (n - i) / 2);
+    // Phase 1: every attempt draws two values, exactly as Normal() does;
+    // rejected attempts are overwritten by the next one.
+    size_t accepted = 0;
+    while (accepted < pairs) {
+      u[accepted] = UniformReal(-1.0, 1.0);
+      v[accepted] = UniformReal(-1.0, 1.0);
+      s[accepted] = u[accepted] * u[accepted] + v[accepted] * v[accepted];
+      accepted += (s[accepted] < 1.0 && s[accepted] != 0.0);
+    }
+    // Phase 2: Normal()'s expressions, pair by pair; the returned value
+    // then the spare.
+    for (size_t k = 0; k < pairs; ++k) {
+      const double factor = std::sqrt(-2.0 * std::log(s[k]) / s[k]);
+      out[i + 2 * k] = static_cast<float>(mean + stddev * u[k] * factor);
+      out[i + 2 * k + 1] = static_cast<float>(mean + stddev * (v[k] * factor));
+    }
+    i += 2 * pairs;
+  }
+  if (i < n) {
+    out[i] = static_cast<float>(Normal(mean, stddev));
+  }
+}
+
 double Rng::Exponential(double rate) {
   DFLOW_CHECK(rate > 0.0);
   return -std::log(1.0 - NextDouble()) / rate;

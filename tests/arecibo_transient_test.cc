@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arecibo/dedisperse.h"
@@ -499,6 +501,68 @@ void ExpectGolden(const PointingResult& result) {
   EXPECT_EQ(CandidateDigest(result.candidates), kGoldenCandidates);
   EXPECT_EQ(CandidateDigest(result.detections), kGoldenDetections);
   EXPECT_EQ(TransientDigest(result.transients), kGoldenTransients);
+}
+
+// --- Batched noise fill ------------------------------------------------------
+
+// Reference radiometer noise: n successive Normal() draws, one per
+// sample, the stream Generate must reproduce byte for byte.
+std::vector<float> PerSampleNoise(Rng& rng, size_t n) {
+  std::vector<float> noise(n);
+  for (float& x : noise) {
+    x = static_cast<float>(rng.Normal(0.0, 1.0));
+  }
+  return noise;
+}
+
+TEST(SpectrometerNoiseTest, NoiseIsByteEqualToPerSampleLoop) {
+  // Odd shapes leave a spare normal pending between consecutive blocks.
+  for (const auto& [channels, samples] :
+       std::vector<std::pair<int, int64_t>>{{kChannels, kSamples},
+                                            {3, 1001}}) {
+    SpectrometerModel model(channels, samples, kSampleTime, 31);
+    Rng reference(31);
+    for (int block = 0; block < 3; ++block) {
+      const DynamicSpectrum spec = model.Generate({}, {});
+      const std::vector<float> want =
+          PerSampleNoise(reference, spec.power.size());
+      ASSERT_EQ(std::memcmp(spec.power.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << channels << "x" << samples << " block " << block;
+    }
+  }
+}
+
+// MD5 of the two consecutive injected spectra below as produced by the
+// per-sample noise loop: two pulsars (one accelerated), mains RFI and a
+// dispersed burst.
+constexpr char kInjectedSpectrumDigests[2][33] = {
+    "5c5854f2a09f38374194403a7274cb3a", "59b793d10f70a7166e157cd33ec21664"};
+
+TEST(SpectrometerNoiseTest, InjectedSpectrumIsByteEqualToPerSampleReference) {
+  SpectrometerModel model(kChannels, kSamples, kSampleTime, 77);
+  PulsarParams accelerated;
+  accelerated.period_sec = 0.0417;
+  accelerated.dm = 90.0;
+  accelerated.pulse_amplitude = 0.8;
+  accelerated.accel_bins = 3.0;
+  accelerated.phase = 0.25;
+  PulsarParams fast;
+  fast.period_sec = 0.0123;
+  fast.dm = 200.0;
+  TransientParams burst;
+  burst.time_sec = 4.2;
+  burst.dm = 150.0;
+  burst.amplitude = 2.0;
+  burst.width_sec = 0.008;
+  for (const char* want : kInjectedSpectrumDigests) {
+    const DynamicSpectrum spec =
+        model.Generate({accelerated, fast}, {RfiParams{}}, {burst});
+    Md5 md5;
+    md5.Update(spec.power.data(), spec.power.size() * sizeof(float));
+    EXPECT_EQ(md5.HexDigest(), want);
+  }
 }
 
 TEST(SurveyTransientTest, SeededPointingMatchesGoldenSerial) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
 namespace dflow {
@@ -73,6 +75,42 @@ TEST(RngTest, NormalMomentsMatch) {
   double var = sum_sq / n - mean * mean;
   EXPECT_NEAR(mean, 10.0, 0.1);
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.1);
+}
+
+// FillNormal must reproduce n successive Normal() calls bit for bit and
+// leave the generator where they would. Sizes straddle its 512-pair block
+// (1024 samples) and include one 96x8192 beam; pre-draws leave a spare
+// pending on entry.
+TEST(RngTest, FillNormalMatchesNormalLoop) {
+  const size_t sizes[] = {0,    1,    2,    3,    511,  512,  513,
+                          1023, 1024, 1025, 1026, 2049, 4097, 786432};
+  const std::pair<double, double> params[] = {{0.0, 1.0}, {10.0, 3.0}};
+  for (const auto& [mean, stddev] : params) {
+    for (size_t n : sizes) {
+      for (int pre = 0; pre <= 3; ++pre) {
+        Rng batched(101), loop(101);
+        for (int i = 0; i < pre; ++i) {
+          batched.Normal();
+          loop.Normal();
+        }
+        std::vector<float> got(n), want(n);
+        batched.FillNormal(got.data(), n, mean, stddev);
+        for (float& x : want) {
+          x = static_cast<float>(loop.Normal(mean, stddev));
+        }
+        // (An empty vector's data() may be null, which memcmp forbids.)
+        ASSERT_TRUE(n == 0 || std::memcmp(got.data(), want.data(),
+                                          n * sizeof(float)) == 0)
+            << "n=" << n << " pre=" << pre << " mean=" << mean;
+        // Same state afterwards: the spare (if any), then the raw stream.
+        const double next_batched = batched.Normal();
+        const double next_loop = loop.Normal();
+        ASSERT_EQ(std::memcmp(&next_batched, &next_loop, sizeof(double)), 0)
+            << "n=" << n << " pre=" << pre;
+        ASSERT_EQ(batched.Next(), loop.Next()) << "n=" << n << " pre=" << pre;
+      }
+    }
+  }
 }
 
 TEST(RngTest, ExponentialMeanMatchesRate) {
