@@ -9,6 +9,31 @@ namespace dflow::db {
 
 namespace {
 
+/// Physical operations recorded in the write-ahead log. Mutations between
+/// kBegin and kCommit are atomic: recovery applies only complete
+/// transactions, so a crash mid-transaction (or a torn tail record) rolls
+/// back cleanly. This is the mechanism behind the EventStore merge bench:
+/// merging a personal store is one short transaction instead of a
+/// long-lived open one.
+enum class WalOp : uint8_t {
+  kBegin = 1,
+  kCommit = 2,
+  kCreateTable = 3,
+  kCreateIndex = 4,
+  kDropTable = 5,
+  kInsert = 6,
+  kDelete = 7,
+  kUpdate = 8,
+};
+
+// One-byte payloads of the records that frame a transaction.
+constexpr char kBeginRecord = static_cast<char>(WalOp::kBegin);
+constexpr char kCommitRecord = static_cast<char>(WalOp::kCommit);
+
+/// The checkpoint snapshot syncs its temporary log whenever this many
+/// bytes are pending, so memory stays bounded however large the database.
+constexpr size_t kCheckpointSyncBytes = 1 << 16;
+
 // Varint-coded: most tables are small, so page/slot are usually one byte
 // each instead of a fixed six.
 void EncodeRowId(ByteWriter& w, RowId rid) {
@@ -34,10 +59,11 @@ Database::Database(DatabaseOptions options, std::unique_ptr<PageStore> store)
   // LSN plumbing reads through wal_ at call time: wal_ is null for volatile
   // databases (pages stay LSN 0, no barrier) and is swapped by Checkpoint.
   pool_->SetWal(
-      [this] { return wal_ != nullptr ? wal_->last_lsn() : 0; },
-      [this] { return wal_ != nullptr ? wal_->durable_lsn() : 0; },
+      [this] { return wal_ != nullptr ? wal_->appended() : 0; },
+      [this] { return wal_ != nullptr ? wal_->synced() : 0; },
       [this](uint64_t lsn) {
-        return wal_ != nullptr ? wal_->EnsureDurable(lsn) : Status::OK();
+        return wal_ != nullptr && lsn > wal_->synced() ? wal_->Sync()
+                                                       : Status::OK();
       });
 }
 
@@ -52,17 +78,16 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
   auto db =
       std::unique_ptr<Database>(new Database(options, std::move(store)));
   DFLOW_RETURN_IF_ERROR(db->Recover(path));
-  DFLOW_ASSIGN_OR_RETURN(db->wal_, WalWriter::Open(path));
-  db->wal_path_ = path;
   // Seed LSNs past the replayed records so page stamps stay monotone with
   // the log (replayed pages carry LSN 0: their records are already
   // durable, no barrier needed).
-  db->wal_->set_last_lsn(db->recovered_lsn_);
+  DFLOW_ASSIGN_OR_RETURN(db->wal_, FramedLog::Open(path, db->recovered_lsn_));
+  db->wal_path_ = path;
   return db;
 }
 
 Status Database::Recover(const std::string& path) {
-  auto records = WalReadAll(path);
+  auto records = FramedLog::ReadAll(path);
   if (!records.ok()) {
     if (records.status().IsNotFound()) {
       return Status::OK();  // Fresh database.
@@ -154,11 +179,30 @@ Status Database::ReplayRecord(std::string_view payload) {
   }
 }
 
-Status Database::LogRecord(std::string payload) {
+Status Database::LogRecord(std::string_view payload) {
   if (wal_ == nullptr || replaying_) {
     return Status::OK();
   }
   return wal_->Append(payload);
+}
+
+Result<int64_t> Database::LogTransaction(
+    const std::function<Result<int64_t>()>& body) {
+  DFLOW_RETURN_IF_ERROR(LogRecord(std::string_view(&kBeginRecord, 1)));
+  DFLOW_ASSIGN_OR_RETURN(int64_t affected, body());
+  DFLOW_RETURN_IF_ERROR(LogRecord(std::string_view(&kCommitRecord, 1)));
+  if (wal_ != nullptr) {
+    DFLOW_RETURN_IF_ERROR(wal_->Sync());
+  }
+  return affected;
+}
+
+Status Database::LogDdl(std::string_view payload) {
+  return LogTransaction([&]() -> Result<int64_t> {
+           DFLOW_RETURN_IF_ERROR(LogRecord(payload));
+           return int64_t{0};
+         })
+      .status();
 }
 
 Result<QueryResult> Database::Execute(std::string_view sql) {
@@ -225,17 +269,7 @@ Result<int64_t> Database::RunOrBuffer(std::function<Result<int64_t>()> op) {
     pending_.push_back(std::move(op));
     return int64_t{0};  // Affected count is unknown until COMMIT.
   }
-  // Autocommit: frame the single op as a transaction.
-  ByteWriter begin_record, commit_record;
-  begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-  commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-  DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-  DFLOW_ASSIGN_OR_RETURN(int64_t affected, op());
-  DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
-  if (wal_ != nullptr) {
-    DFLOW_RETURN_IF_ERROR(wal_->Sync());
-  }
-  return affected;
+  return LogTransaction(op);  // Autocommit: one op, one transaction.
 }
 
 Status Database::Begin() {
@@ -252,20 +286,14 @@ Status Database::Commit() {
     return Status::FailedPrecondition("no open transaction");
   }
   in_txn_ = false;
-  ByteWriter begin_record, commit_record;
-  begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-  commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-  DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-  for (auto& op : pending_) {
-    DFLOW_ASSIGN_OR_RETURN(int64_t ignored, op());
-    (void)ignored;
-  }
-  pending_.clear();
-  DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
-  if (wal_ != nullptr) {
-    return wal_->Sync();
-  }
-  return Status::OK();
+  return LogTransaction([this]() -> Result<int64_t> {
+           for (auto& op : pending_) {
+             DFLOW_RETURN_IF_ERROR(op().status());
+           }
+           pending_.clear();
+           return int64_t{0};
+         })
+      .status();
 }
 
 Status Database::Rollback() {
@@ -322,54 +350,57 @@ Status Database::Checkpoint() {
     std::string tmp_path = wal_path_ + ".ckpt";
     std::remove(tmp_path.c_str());
     {
-      DFLOW_ASSIGN_OR_RETURN(auto writer, WalWriter::Open(tmp_path));
-      ByteWriter begin_record, commit_record;
-      begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-      commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-      DFLOW_RETURN_IF_ERROR(writer->Append(begin_record.data()));
+      DFLOW_ASSIGN_OR_RETURN(auto writer, FramedLog::Open(tmp_path));
+      // The temporary log is renamed only after the final Sync, so
+      // syncing it partway is safe.
+      auto append = [&writer](std::string_view payload) -> Status {
+        DFLOW_RETURN_IF_ERROR(writer->Append(payload));
+        return writer->pending_bytes() >= kCheckpointSyncBytes
+                   ? writer->Sync()
+                   : Status::OK();
+      };
+      DFLOW_RETURN_IF_ERROR(append(std::string_view(&kBeginRecord, 1)));
       for (const std::string& name : compacted.TableNames()) {
         TableInfo* table = compacted.Find(name);
         ByteWriter create;
         create.PutU8(static_cast<uint8_t>(WalOp::kCreateTable));
         create.PutString(table->name);
         table->heap->schema().EncodeTo(create);
-        DFLOW_RETURN_IF_ERROR(writer->Append(create.data()));
+        DFLOW_RETURN_IF_ERROR(append(create.data()));
         for (const auto& index : table->indexes) {
           ByteWriter create_index;
           create_index.PutU8(static_cast<uint8_t>(WalOp::kCreateIndex));
           create_index.PutString(index->name);
           create_index.PutString(table->name);
           create_index.PutString(index->column);
-          DFLOW_RETURN_IF_ERROR(writer->Append(create_index.data()));
+          DFLOW_RETURN_IF_ERROR(append(create_index.data()));
         }
-        Status append = Status::OK();
+        Status appended = Status::OK();
         DFLOW_RETURN_IF_ERROR(
             table->heap->ForEach([&](RowId, const Row& row) {
               ByteWriter insert;
               insert.PutU8(static_cast<uint8_t>(WalOp::kInsert));
               insert.PutString(table->name);
               EncodeRow(row, insert);
-              append = writer->Append(insert.data());
-              return append.ok();
+              appended = append(insert.data());
+              return appended.ok();
             }));
-        DFLOW_RETURN_IF_ERROR(append);
+        DFLOW_RETURN_IF_ERROR(appended);
       }
-      DFLOW_RETURN_IF_ERROR(writer->Append(commit_record.data()));
+      DFLOW_RETURN_IF_ERROR(append(std::string_view(&kCommitRecord, 1)));
       DFLOW_RETURN_IF_ERROR(writer->Sync());
     }
-    uint64_t old_lsn = wal_->last_lsn();
+    uint64_t old_lsn = wal_->appended();
     wal_.reset();  // Close the old log before replacing it.
     if (std::rename(tmp_path.c_str(), wal_path_.c_str()) != 0) {
       // Reopen the old log so the database stays durable.
-      DFLOW_ASSIGN_OR_RETURN(wal_, WalWriter::Open(wal_path_));
-      wal_->set_last_lsn(old_lsn);
+      DFLOW_ASSIGN_OR_RETURN(wal_, FramedLog::Open(wal_path_, old_lsn));
       return Status::IOError("checkpoint rename failed");
     }
-    DFLOW_ASSIGN_OR_RETURN(wal_, WalWriter::Open(wal_path_));
     // Keep LSNs monotone across the swap: resident pages stamped under the
     // old log must never look "ahead" of the new one (their content is
     // fully covered by the just-synced snapshot).
-    wal_->set_last_lsn(old_lsn);
+    DFLOW_ASSIGN_OR_RETURN(wal_, FramedLog::Open(wal_path_, old_lsn));
   }
 
   catalog_ = std::move(compacted);
@@ -425,13 +456,7 @@ Status Database::ApplyCreateTable(const CreateTableStmt& stmt, bool log) {
     w.PutU8(static_cast<uint8_t>(WalOp::kCreateTable));
     w.PutString(stmt.table);
     Schema(stmt.columns).EncodeTo(w);
-    // DDL is autocommitted: frame it.
-    ByteWriter begin_record, commit_record;
-    begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-    commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-    DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
+    return LogDdl(w.data());  // DDL is autocommitted.
   }
   return Status::OK();
 }
@@ -463,12 +488,7 @@ Status Database::ApplyCreateIndex(const CreateIndexStmt& stmt, bool log) {
     w.PutString(stmt.index_name);
     w.PutString(stmt.table);
     w.PutString(stmt.column);
-    ByteWriter begin_record, commit_record;
-    begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-    commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-    DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
+    return LogDdl(w.data());
   }
   return Status::OK();
 }
@@ -485,12 +505,7 @@ Status Database::ApplyDropTable(const DropTableStmt& stmt, bool log) {
     ByteWriter w;
     w.PutU8(static_cast<uint8_t>(WalOp::kDropTable));
     w.PutString(stmt.table);
-    ByteWriter begin_record, commit_record;
-    begin_record.PutU8(static_cast<uint8_t>(WalOp::kBegin));
-    commit_record.PutU8(static_cast<uint8_t>(WalOp::kCommit));
-    DFLOW_RETURN_IF_ERROR(LogRecord(begin_record.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(w.Take()));
-    DFLOW_RETURN_IF_ERROR(LogRecord(commit_record.Take()));
+    return LogDdl(w.data());
   }
   return Status::OK();
 }

@@ -10,9 +10,9 @@
 #include "db/catalog.h"
 #include "db/executor.h"
 #include "db/parser.h"
-#include "db/wal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/framed_log.h"
 #include "util/result.h"
 
 namespace dflow::db {
@@ -81,7 +81,7 @@ class Database {
   /// Total bytes of table heap pages (storage accounting).
   int64_t TotalBytes() const { return catalog_.TotalBytes(); }
   int64_t wal_bytes() const {
-    return wal_ != nullptr ? wal_->bytes_written() : 0;
+    return wal_ != nullptr ? wal_->bytes_appended() : 0;
   }
 
   /// The shared buffer pool behind every table (hit/miss/eviction stats,
@@ -97,10 +97,6 @@ class Database {
 
  private:
   Database(DatabaseOptions options, std::unique_ptr<PageStore> store);
-
-  struct PendingOp {
-    std::function<Status()> apply;
-  };
 
   Result<QueryResult> Dispatch(Statement stmt);
 
@@ -118,7 +114,13 @@ class Database {
   static void IndexRemove(TableInfo* table, const Row& row, RowId rid);
 
   // WAL plumbing.
-  Status LogRecord(std::string payload);
+  Status LogRecord(std::string_view payload);
+  /// Runs `body` (which logs its own records) framed as one transaction on
+  /// the live log: begin marker, body, commit marker, Sync. Without a log
+  /// (volatile, or replaying) it just runs `body`.
+  Result<int64_t> LogTransaction(const std::function<Result<int64_t>()>& body);
+  /// One autocommitted DDL record, framed and synced by LogTransaction.
+  Status LogDdl(std::string_view payload);
   Status ReplayRecord(std::string_view payload);
   Status Recover(const std::string& path);
 
@@ -128,7 +130,7 @@ class Database {
 
   std::unique_ptr<BufferPool> pool_;  // Before catalog_: tables point at it.
   Catalog catalog_;
-  std::unique_ptr<WalWriter> wal_;
+  std::unique_ptr<FramedLog> wal_;
   std::string wal_path_;
   bool in_txn_ = false;
   bool replaying_ = false;

@@ -2,13 +2,13 @@
 #define DFLOW_RECOVER_JOURNAL_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/framed_log.h"
 #include "util/result.h"
 
 namespace dflow::recover {
@@ -56,29 +56,27 @@ struct StageEventRecord {
   static Result<StageEventRecord> Decode(std::string_view payload);
 };
 
-/// Append-only, CRC-framed checkpoint journal — the db::wal framing
-/// discipline (u32 length, u32 CRC-32, payload) applied to pipeline
-/// terminal events, with explicit durability control:
+/// Append-only checkpoint journal of pipeline terminal events, written
+/// through util::FramedLog (the same framing as the db WAL), with explicit
+/// durability control:
 ///
-///   * Append() buffers the framed record in memory and flushes every
-///     `sync_every` appends (the checkpoint granularity knob: redo work
-///     after a crash is bounded by `sync_every - 1` completed-but-unsynced
-///     events plus whatever was in flight).
-///   * Dead-letter records are flushed IMMEDIATELY regardless of
+///   * Append() frames the record into the log's pending buffer and syncs
+///     every `sync_every` appends (the checkpoint granularity knob: redo
+///     work after a crash is bounded by `sync_every - 1`
+///     completed-but-unsynced events plus whatever was in flight).
+///   * Dead-letter records are synced IMMEDIATELY regardless of
 ///     `sync_every` — a parked product must survive the process that
 ///     parked it (operations staff grep the journal next morning).
-///   * A SIGKILL loses only the in-memory pending buffer; everything
-///     flushed is on disk. A kill mid-flush leaves a torn tail record that
-///     replay drops (db::WalReadAll semantics), never a corrupt prefix.
+///   * A SIGKILL loses only the pending buffer; everything synced is on
+///     disk. A kill mid-sync leaves a torn tail record that replay drops,
+///     never a corrupt prefix.
 class CheckpointJournal {
  public:
   struct Options {
-    /// Flush after this many buffered appends. 1 = every terminal event is
+    /// Sync after this many buffered appends. 1 = every terminal event is
     /// durable before the next simulation event runs.
     int sync_every = 1;
   };
-
-  ~CheckpointJournal();
 
   CheckpointJournal(const CheckpointJournal&) = delete;
   CheckpointJournal& operator=(const CheckpointJournal&) = delete;
@@ -92,41 +90,39 @@ class CheckpointJournal {
   /// Buffers one record; dead-letter records force an immediate Sync().
   Status Append(const StageEventRecord& record);
 
-  /// Flushes the pending buffer to the file and fflushes it, making every
-  /// appended record kill-durable (page cache survives SIGKILL).
-  Status Sync();
+  /// Makes every appended record kill-durable (page cache survives
+  /// SIGKILL). Destruction syncs too.
+  Status Sync() { return log_->Sync(); }
 
-  /// Crash-emulation hook for benches/tests: drops the pending (unsynced)
-  /// buffer and closes the file WITHOUT flushing — exactly what SIGKILL
-  /// does to this process's view of the journal. The journal is unusable
-  /// afterwards.
-  void Abandon();
+  /// Crash-emulation hook for benches/tests: drops the unsynced records
+  /// and closes the file without flushing (see FramedLog::Abandon). The
+  /// journal is unusable afterwards.
+  void Abandon() { log_->Abandon(); }
 
-  int64_t records_appended() const { return records_appended_; }
-  int64_t records_synced() const { return records_synced_; }
-  int64_t syncs() const { return syncs_; }
-  int64_t bytes_written() const { return bytes_written_; }
-  const std::string& path() const { return path_; }
+  int64_t records_appended() const {
+    return static_cast<int64_t>(log_->appended());
+  }
+  int64_t records_synced() const {
+    return static_cast<int64_t>(log_->synced());
+  }
+  /// Bytes of synced records (what a SIGKILL leaves on disk).
+  int64_t bytes_written() const {
+    return log_->bytes_appended() -
+           static_cast<int64_t>(log_->pending_bytes());
+  }
 
  private:
-  CheckpointJournal(std::FILE* file, std::string path, Options options)
-      : file_(file), path_(std::move(path)), options_(options) {}
+  CheckpointJournal(std::unique_ptr<FramedLog> log, Options options)
+      : log_(std::move(log)), options_(options) {}
 
-  std::FILE* file_;
-  std::string path_;
+  std::unique_ptr<FramedLog> log_;
   Options options_;
-  std::string pending_;          // Framed records awaiting a flush.
-  int64_t pending_records_ = 0;  // Records inside pending_.
-  int64_t records_appended_ = 0;
-  int64_t records_synced_ = 0;
-  int64_t syncs_ = 0;
-  int64_t bytes_written_ = 0;
 };
 
 /// Read side: loads every intact record from a journal file (torn or
-/// corrupt tail records terminate the scan silently, the WAL recovery
-/// contract) and indexes them by (stage, input product name) for O(log n)
-/// replay lookups. Duplicate keys keep the FIRST record (idempotent
+/// corrupt tail records terminate the scan silently, FramedLog::ReadAll)
+/// and indexes them by (stage, input product name) for O(log n) replay
+/// lookups. Duplicate keys keep the FIRST record (idempotent
 /// resume-after-resume appends).
 class JournalReplay {
  public:

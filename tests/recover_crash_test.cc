@@ -201,6 +201,41 @@ TEST(CheckpointJournalTest, DuplicateRecordsKeepFirst) {
   std::filesystem::remove(path);
 }
 
+// Pins the journal's on-disk bytes: a fixed sequence of completions and dead
+// letters, with and without a pending tail at close, must produce exactly
+// the file the framing has always produced.
+TEST(CheckpointJournalTest, OnDiskBytesArePinned) {
+  std::string path = TempPath("pinned");
+  std::filesystem::remove(path);
+  {
+    CheckpointJournal::Options options;
+    options.sync_every = 3;
+    auto journal = CheckpointJournal::Open(path, options);
+    ASSERT_TRUE(journal.ok());
+    for (int i = 0; i < 7; ++i) {
+      ASSERT_TRUE((*journal)
+                      ->Append(CompletedRecord("stage" + std::to_string(i % 3),
+                                               "in" + std::to_string(i), i % 4))
+                      .ok());
+      if (i % 3 == 1) {
+        StageEventRecord dead;
+        dead.kind = StageEventRecord::Kind::kDeadLettered;
+        dead.stage = "stage" + std::to_string(i % 3);
+        dead.input = "dead" + std::to_string(i);
+        dead.injected_failures = {false, true, true};
+        dead.error = "UNAVAILABLE: drive " + std::to_string(i) + " offline";
+        ASSERT_TRUE((*journal)->Append(dead).ok());
+      }
+    }
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str().size(), 602u);
+  EXPECT_EQ(Md5::HexOf(bytes.str()), "705a3c1cc0714c0c2c8cff86ee84a0c0");
+  std::filesystem::remove(path);
+}
+
 // ---------------------------------------------------------------------------
 // Flow harnesses: reduced-scale Figure 1 (Arecibo) and Figure 2 (CLEO)
 // with retries (jittered backoff), injected transient errors, and
